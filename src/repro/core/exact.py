@@ -38,17 +38,26 @@ scanned with a single dense ``pairwise`` block (the same matmul-like
 group-by-rep structure as the one-shot search).  This is the paper's core
 argument applied to its own exact algorithm: per-query scalar work
 coalesces into brute-force blocks that run at hardware speed.
+
+The rules and the scan are written once, as two steps that store no
+per-call state on the index: :meth:`ExactRBC._prune` (gamma, rules, cuts,
+seeds, counters) and :meth:`ExactRBC._scan` (the grouped scan of a chosen
+set of representatives' lists).  :meth:`ExactRBC.query` runs them over all
+representatives; the sharded searcher and the distributed engine run the
+scan once per shard or node (§8: distribute the search by representative).
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from ..metrics.engine import refine_topk
+from ..metrics.engine import Prepared, refine_topk
 from ..parallel.blocking import row_chunks
 from ..parallel.bruteforce import _is_batch, _record_dist_tile, _record_select
 from ..parallel.pool import SerialExecutor
-from ..parallel.reduce import EMPTY_IDX, merge_group_topk, merge_topk, topk_of_block
+from ..parallel.reduce import EMPTY_IDX
 from ..runtime.context import ExecContext
 from ..simulator.trace import NULL_RECORDER, Op, TraceRecorder
 from .params import standard_n_reps
@@ -173,61 +182,90 @@ class ExactRBC(RBCBase):
         qplan = self._quant_plan() if engine else None
         if qplan is not None and qplan.strategy == "flat":
             return self._query_quant_flat(Qb, k, qplan, stats, recorder)
-        qop = None
-        Qp_q = None
-        if qplan is not None:
-            # grouped quantized stage 2: the trimmed prefixes are scanned
-            # on the float32 decode cache and every survivor is re-ranked
-            # in float64, so the answer ids match the unquantized path
-            qop = self._quant_operand(qplan.quantizer)
-            Qp_q = self.metric.prepare(Qb, dtype="float32")
-
         Qp = self.metric.prepare(Qb, dtype=dtype) if engine else None
+        qop = None
+        # the grouped scans run on the prepared block (engine) or the raw
+        # queries (generic metrics) ...
+        Qs = Qp if engine else Qb
+        if qplan is not None:
+            # ... or, quantized, on the float32 decode cache; every
+            # survivor is then re-ranked in float64, so the answer ids
+            # match the unquantized path
+            qop = self._quant_operand(qplan.quantizer)
+            Qs = self.metric.prepare(Qb, dtype="float32")
 
         # ---- stage 1: BF(Q, R) with all distances retained
         evals0 = self.metric.counter.n_evals
         D_R = self._stage1_distances(Qb, recorder, Qp=Qp)
         stats.stage1_evals = self.metric.counter.n_evals - evals0
 
-        # gamma = distance to the k-th nearest representative (upper bound
-        # on the k-th NN distance); inf disables pruning when nr < k.
-        if nr >= k:
-            gamma = np.partition(D_R, k - 1, axis=1)[:, k - 1]
-        else:
-            gamma = np.full(m, np.inf)
-        gamma_eff = gamma / (1.0 + approx_eps)
-
-        # ---- pruning + stage 2, parallel over query chunks
-        psi = self.radii
-        rep_owner, rep_pos = self._rep_positions()
-
-        # float32 mode keeps extra result slots so rounding noise cannot
-        # evict the true k-th neighbor before the float64 refinement
+        # float32 kernels carry ~1e-7 relative error: widening every
+        # pruning bound by 1e-4 leaves ample headroom at negligible extra
+        # candidate cost, and extra result slots keep rounding noise from
+        # evicting the true k-th neighbor before the float64 refinement
+        rules = dict(
+            use_psi_rule=use_psi_rule,
+            use_3gamma_rule=use_3gamma_rule,
+            use_trim=use_trim,
+            approx_eps=approx_eps,
+            slack=1e-4 if fp32 else 0.0,
+        )
         k_out = k + max(8, k) if fp32 else k
+        itemsize = float(Qs.data.dtype.itemsize) if engine else 8.0
 
         def task(chunk):
             lo, hi = chunk
-            return self._stage2_chunk(
-                Qb,
-                D_R,
-                gamma,
-                gamma_eff,
-                psi,
-                rep_owner,
-                rep_pos,
-                lo,
-                hi,
-                k,
-                use_psi_rule,
-                use_3gamma_rule,
-                use_trim,
-                recorder,
-                Qp=Qp,
-                k_out=k_out,
-                fp32=fp32,
-                qop=qop,
-                Qp_q=Qp_q,
-            )
+            c = hi - lo
+            Dc = D_R[lo:hi]
+            pruned = self._prune(Dc, k, **rules)
+            if engine:
+                Qc = Qs.slice(lo, hi)
+            else:
+                Qc = self.metric.take(Qb, np.arange(lo, hi))
+            with recorder.phase("exact:stage2"):
+                if recorder.enabled:
+                    recorder.record(
+                        Op(
+                            kind="ewise",
+                            flops=4.0 * nr * c,
+                            bytes=8.0 * nr * c,
+                            tag="exact:prune",
+                        )
+                    )
+                pool = self._scan(Qc, pruned, recorder=recorder, qop=qop)
+                if qop is None:
+                    dist, idx = self._gather(Qc, Dc, pruned, [pool], k_out)
+                else:
+                    # approximate scan distances cannot rank the answer:
+                    # keep *every* survivor (the widened bound guarantees
+                    # the true top-k are among them), pad to the widest
+                    # row and re-rank the whole pool in exact float64
+                    seeds = self._seeds(Qc, Dc, pruned)
+                    r, _, g, rank = _top([pool, seeds], c)
+                    padded = np.full(
+                        (c, int(rank.max(initial=0)) + 1),
+                        EMPTY_IDX,
+                        dtype=np.int64,
+                    )
+                    padded[r, rank] = g
+                    dist, idx = refine_topk(
+                        self.metric,
+                        self.metric.take(Qb, np.arange(lo, hi)),
+                        self.X,
+                        padded,
+                        k,
+                    )
+                if recorder.enabled:
+                    recorder.record(
+                        Op(
+                            kind="reduce",
+                            flops=4.0 * c * k,
+                            bytes=2.0 * c * k * (itemsize + 8.0),
+                            vectorizable=True,
+                            tag="exact:stage2:merge",
+                        )
+                    )
+            return dist, idx, pruned.stats
 
         chunks = row_chunks(m, 256)
         evals1 = self.metric.counter.n_evals
@@ -361,11 +399,11 @@ class ExactRBC(RBCBase):
         """Locate every representative inside the ownership lists.
 
         Returns ``(owner, pos)``: representative ``r`` (a database point)
-        sits at ``lists[owner[r]][pos[r]]``.  The batched stage 2 uses this
-        to avoid examining a seed representative twice when its own list
-        prefix is already scanned.  ``owner`` is ``-1`` for a representative
-        found in no list (cannot happen in a consistent exact build; treated
-        as "not scanned").
+        sits at ``lists[owner[r]][pos[r]]``.  :meth:`_prune` and
+        :meth:`_scan` use this to find the seed representatives a scanned
+        prefix already holds, so no candidate is examined twice.  ``owner``
+        is ``-1`` for a representative found in no list (cannot happen in a
+        consistent exact build; treated as "not scanned").
 
         The table depends only on the index state, but the scan that
         builds it is a Python loop over every ownership list — by far the
@@ -390,341 +428,293 @@ class ExactRBC(RBCBase):
         return owner, pos
 
     def _estimate_candidate_fraction(self) -> float:
-        """Measured fraction of the database the pruning rules keep,
-        probed on <= 64 database points standing in as queries (k = 1).
+        """Measured fraction of the live database the pruning rules keep,
+        probed on <= 64 live points standing in as queries (k = 1).
 
         This is the autotuner's flat-vs-grouped input: at low dimension
         the rules prune hard and the grouped scan wins; past d ~ 32 on
         i.i.d. data they keep nearly everything and one flat quantized
-        scan is cheaper.  The probe is a single stage-1 block plus the
-        vectorized rule arithmetic — no stage-2 distances — and runs once
-        per index version (the plan is cached in ``_prep``).
+        scan is cheaper.  The probe is a single stage-1 block plus
+        :meth:`_prune` — no stage-2 distances — and runs once per index
+        version (the plan is cached in ``_prep``).
         """
         self._require_built()
-        probe_m = min(64, self.n)
+        live = self.active_ids
+        probe_m = min(64, live.size)
         rows = np.random.default_rng(0).choice(
-            self.n, size=probe_m, replace=False
+            live, size=probe_m, replace=False
         )
-        Dp = self.metric.pairwise(
+        D = self.metric.pairwise(
             self.metric.take(self.X, rows), self.rep_data
         )
-        gamma = Dp.min(axis=1)
-        keep = (Dp - self.radii[None, :] < gamma[:, None]) & (
-            Dp <= 3.0 * gamma[:, None]
-        )
-        total = 0
-        for j in np.flatnonzero(keep.any(axis=0)):
-            ld = self.list_dists[j]
-            if ld.size == 0:
-                continue
-            r = np.flatnonzero(keep[:, j])
-            cut = np.searchsorted(ld, Dp[r, j] + gamma[r], side="right")
-            total += int(cut.sum())
-        return min(1.0, total / max(1, probe_m * self.n))
+        kept = int(self._prune(D, 1).cuts.sum())
+        return min(1.0, kept / max(1, probe_m * live.size))
 
-    def _stage2_chunk(
+    def _stage1_float64(self, Qb):
+        """Stage 1 on the index's float64 operands, for callers that run
+        :meth:`_prune` and :meth:`_scan` themselves (the sharded searcher,
+        the distributed engine).  Returns ``(Qop, D_R)``: the prepared
+        query block (the raw batch when the engine does not apply) and the
+        ``(m, n_reps)`` representative distances."""
+        Qp = None
+        if self._engine_active():
+            Qp = self.metric.prepare(Qb, dtype="float64")
+        D_R = self._stage1_distances(Qb, NULL_RECORDER, Qp=Qp)
+        return (Qb if Qp is None else Qp), D_R
+
+    def _prune(
         self,
-        Qb,
         D_R,
-        gamma,
-        gamma_eff,
-        psi,
-        rep_owner,
-        rep_pos,
-        lo,
-        hi,
         k,
-        use_psi_rule,
-        use_3gamma_rule,
-        use_trim,
-        recorder,
-        Qp=None,
-        k_out=None,
-        fp32=False,
-        qop=None,
-        Qp_q=None,
-    ):
-        """Batched pruning + grouped stage 2 for queries ``lo..hi``.
+        *,
+        use_psi_rule=True,
+        use_3gamma_rule=True,
+        use_trim=True,
+        approx_eps=0.0,
+        slack=0.0,
+    ) -> "_Pruned":
+        """The exact search's pruning for one stage-1 block (paper §5.2).
 
-        All per-query scalar work is coalesced into dense kernels:
-
-        1. the psi and 3-gamma rules are broadcast over the whole
-           ``(chunk, n_reps)`` block of stage-1 distances;
-        2. the Claim-2 trim is one vectorized ``searchsorted`` per
-           representative over the queries that kept it;
-        3. surviving queries are grouped by representative and each
-           representative's trimmed prefix is scanned with a single
-           ``pairwise`` block (rows padded to the group's longest prefix and
-           masked back to each query's own cut), with per-query results
-           folded through :func:`~repro.parallel.reduce.merge_group_topk`;
-        4. the seed representatives (the ``k`` nearest, distances already in
-           ``D_R``) are merged last, skipping any seed already inside a
-           scanned prefix so no candidate is examined twice.
-
-        Pruning/trim/candidate counters are identical to the per-query
-        formulation; stage-2 distance evaluations may exceed the per-query
-        count by the group padding (real work the dense kernel performs).
-
-        With a prepared query block ``Qp`` the group scans run on the
-        engine: each trimmed prefix is a contiguous row slice of the cached
-        pre-gathered candidate matrix and ``squared_ok`` metrics rank in
-        the squared domain (the root is applied only to the ``(c, k)``
-        result).  ``fp32`` widens every pruning/trim bound by a relative
-        slack so float32 rounding cannot discard a true neighbor's list;
-        the caller refines the returned candidates in float64.
+        ``D_R`` is the ``(c, n_reps)`` query-to-representative block.  The
+        psi and 3-gamma rules are broadcast over the whole block, and the
+        Claim-2 trim is one vectorized ``searchsorted`` per surviving
+        representative.  ``slack`` widens every bound by that relative
+        amount (float32 stage-1 distances).  Returns a :class:`_Pruned`;
+        its rule counters are batching-invariant — they equal a per-query
+        run of the same rules.  Stores no per-call state on the index.
         """
-        sub = SearchStats()
-        nr = self.n_reps
-        c = hi - lo
-        k_out = k if k_out is None else k_out
-        dim = self.metric.dim(self.rep_data)
-        Dc = D_R[lo:hi]
-        ge = gamma_eff[lo:hi]
-        # relative slack on the pruning bounds in float32 mode (float32
-        # kernels carry ~1e-7 relative error; 1e-4 leaves ample headroom at
-        # negligible extra candidate cost)
-        slack = 1e-4 if fp32 else 0.0
+        c, nr = D_R.shape
+        # gamma = distance to the k-th nearest representative (upper bound
+        # on the k-th NN distance); inf disables pruning when nr < k
+        if nr >= k:
+            gamma = np.partition(D_R, k - 1, axis=1)[:, k - 1]
+        else:
+            gamma = np.full(c, np.inf)
+        ge = gamma / (1.0 + approx_eps)
+        psi = self.radii
+        stats = SearchStats(n_queries=c)
 
-        # ---- rules, broadcast over the whole chunk
         keep = np.ones((c, nr), dtype=bool)
         if use_psi_rule:
             # inequality (1): rho(q,r) >= gamma + psi_r  =>  discard
-            tol = slack * (np.abs(Dc) + psi[None, :]) if fp32 else 0.0
-            kept = Dc - psi[None, :] < ge[:, None] + tol
-            sub.pruned_by_psi += int(c * nr - np.count_nonzero(kept))
+            tol = slack * (np.abs(D_R) + psi[None, :]) if slack else 0.0
+            kept = D_R - psi[None, :] < ge[:, None] + tol
+            stats.pruned_by_psi = int(c * nr - np.count_nonzero(kept))
             keep &= kept
         if use_3gamma_rule:
             # inequality (2) via Lemma 1
-            tol = 4.0 * slack * np.abs(Dc) if fp32 else 0.0
-            kept = Dc <= 3.0 * gamma[lo:hi][:, None] + tol
-            sub.pruned_by_3gamma += int(np.count_nonzero(keep & ~kept))
+            tol = 4.0 * slack * np.abs(D_R) if slack else 0.0
+            kept = D_R <= 3.0 * gamma[:, None] + tol
+            stats.pruned_by_3gamma = int(np.count_nonzero(keep & ~kept))
             keep &= kept
 
         # ---- Claim-2 trim: rho(x, r) <= rho(q, r) + gamma bounds a sorted
-        # prefix; one vectorized searchsorted per surviving representative
+        # prefix of each surviving list
         cuts = np.zeros((c, nr), dtype=np.int64)
+        list_dists = self.list_dists
         for j in np.flatnonzero(keep.any(axis=0)):
-            lst = self.lists[j]
-            if lst.size == 0:
+            ld = list_dists[j]
+            if ld.size == 0:
                 continue
             rows = np.flatnonzero(keep[:, j])
             if use_trim:
-                bound = Dc[rows, j] + ge[rows]
-                cut = np.searchsorted(
-                    self.list_dists[j], bound * (1.0 + slack), side="right"
-                )
-                sub.trimmed_by_4gamma += int(rows.size * lst.size - cut.sum())
+                bound = (D_R[rows, j] + ge[rows]) * (1.0 + slack)
+                cut = np.searchsorted(ld, bound, side="right")
+                stats.trimmed_by_4gamma += int(rows.size * ld.size - cut.sum())
                 cuts[rows, j] = cut
             else:
-                cuts[rows, j] = lst.size
+                cuts[rows, j] = ld.size
 
         # Seed with the k nearest representatives: they are database points
         # whose distances are already known (stage 1) to be <= gamma, which
         # keeps the answer exact even when a boundary tie in rule (1)
-        # discards a representative's own singleton list.  Seeds already
-        # inside a scanned prefix are masked so no candidate repeats.
+        # discards a representative's own singleton list.  Seeds inside a
+        # scanned prefix are left to the scan, so no candidate repeats.
         kk = min(k, nr)
-        seed_cols = np.argpartition(Dc, kk - 1, axis=1)[:, :kk]
-        so = rep_owner[seed_cols]
+        seed_cols = np.argpartition(D_R, kk - 1, axis=1)[:, :kk]
+        owner, pos = self._rep_positions()
+        so = owner[seed_cols]
         so_ok = so >= 0
         cut_at = np.take_along_axis(cuts, np.where(so_ok, so, 0), axis=1)
-        in_parts = so_ok & (rep_pos[seed_cols] < cut_at)
-        sub.candidates_examined += int(cuts.sum() + np.count_nonzero(~in_parts))
+        seed_new = ~(so_ok & (pos[seed_cols] < cut_at))
+        stats.candidates_examined = int(cuts.sum() + np.count_nonzero(seed_new))
+        return _Pruned(k, gamma, cuts, seed_cols, seed_new, stats)
 
-        engine = Qp is not None
-        quant = engine and qop is not None
+    def _scan(
+        self,
+        Qop,
+        pruned,
+        reps=None,
+        *,
+        top=None,
+        recorder=NULL_RECORDER,
+        qop=None,
+    ):
+        """Grouped stage 2 over the Claim-2 prefixes ``pruned`` kept.
+
+        ``reps`` picks the representatives whose lists are scanned: all of
+        them (default) for :meth:`query`, one shard's or node's for the
+        distributed callers.  Queries are grouped by representative and
+        each group's trimmed prefix is one dense block — a contiguous
+        slice of the pre-gathered candidate matrix when ``Qop`` is a
+        prepared block (``squared_ok`` metrics then rank in the squared
+        domain), a gather plus ``pairwise`` for the raw batch of a generic
+        metric.  Ragged groups are masked back to each row's own cut.
+
+        One selection rule follows every block: gamma bounds the k-th NN
+        distance (the k seed representatives are candidates within it), so
+        a scanned candidate beyond it can never enter the top-k.  The bound
+        is widened by a relative slack so rounding admits extra survivors
+        rather than excluding neighbors; quantized scans (``qop``) widen it
+        per element by the code residual.  The seeds a scanned prefix holds
+        always survive: Gram-trick distances of near-coincident points
+        cancel, so their rounding error scales with the norms rather than
+        the distance and can exceed any relative slack, and a row must
+        keep its ``k`` seeds.  Returns the survivor pool ``(rows, dists,
+        ids)``; ``top`` keeps only each row's ``top`` nearest (a node's
+        top-k reply).  Stores no per-call state on the index.
+        """
+        metric = self.metric
+        engine = isinstance(Qop, Prepared)
+        squared = self._squared(Qop)
+        dim = metric.dim(self.rep_data)
         if engine:
-            Cp = qop.decoded if quant else self._prepared_cands(str(Qp.data.dtype))
-            packed = self._packed
-            squared = self.metric.squared_ok
-            itemsize = 4.0 if quant else float(Qp.data.dtype.itemsize)
-            # gamma bounds the k-th NN distance (the k seed representatives
-            # are candidates at distance <= gamma), so any scanned candidate
-            # beyond it can never enter the final top-k.  The engine path
-            # exploits this: instead of an argpartition+merge per group, a
-            # single compare keeps the few survivors per query and one
-            # lexsort per chunk ranks them at the end.  The threshold is
-            # widened by a relative slack so rounding can only admit extra
-            # survivors (harmless), never exclude a true neighbor.
-            g_chunk = gamma[lo:hi]
-            thr = (
-                self.metric.to_squared(g_chunk) if squared else g_chunk
-            ) * (1.0 + (1e-4 if fp32 else 1e-9))
-            acc_r: list[np.ndarray] = []
-            acc_d: list[np.ndarray] = []
-            acc_g: list[np.ndarray] = []
+            if qop is not None:
+                Cp = qop.decoded
+            else:
+                Cp = self._prepared_cands(str(Qop.dtype))
+            starts = self._packed.starts
+            itemsize = float(Qop.dtype.itemsize)
         else:
-            squared = False
             itemsize = 8.0
-
-        dists = np.full((c, k_out), np.inf)
-        idxs = np.full((c, k_out), EMPTY_IDX, dtype=np.int64)
+        # float32 kernels get the wider slack (~1e-7 relative error each)
+        loose = engine and Qop.dtype == np.float32
+        gamma = pruned.gamma
+        thr = (metric.to_squared(gamma) if squared else gamma) * (
+            1.0 + (1e-4 if loose else 1e-9)
+        )
+        lists = self.lists
+        live = (pruned.cuts > 0).any(axis=0)
+        cols = np.flatnonzero(live) if reps is None else reps[live[reps]]
+        # the seeds inside scanned prefixes as (row, list, position),
+        # grouped by list
+        owner, pos = self._rep_positions()
+        s_row, s_col = np.nonzero(~pruned.seed_new)
+        s_rep = pruned.seed_cols[s_row, s_col]
+        order = np.argsort(owner[s_rep], kind="stable")
+        s_row, s_rep = s_row[order], s_rep[order]
+        s_at = np.searchsorted(owner[s_rep], np.arange(len(live) + 1))
+        acc_r = [np.empty(0, dtype=np.int64)]
+        acc_d = [np.empty(0)]
+        acc_g = [np.empty(0, dtype=np.int64)]
         # DRAM traffic model: a candidate vector is streamed from memory the
-        # first time any query in this chunk touches it and served from
-        # cache afterwards, so the chunk charges each unique candidate once
+        # first time any query in this scan touches it and served from
+        # cache afterwards, so the scan charges each unique candidate once
         # (recorded as one memcpy op below); group ops carry only their
         # compute and output bytes.
         touched = np.zeros(self.n, dtype=bool) if recorder.enabled else None
-        with recorder.phase("exact:stage2"):
-            if recorder.enabled:
-                recorder.record(
-                    Op(
-                        kind="ewise",
-                        flops=4.0 * nr * c,
-                        bytes=8.0 * nr * c,
-                        tag="exact:prune",
-                    )
-                )
-            for j in np.flatnonzero((cuts > 0).any(axis=0)):
-                rows = np.flatnonzero(cuts[:, j])
-                cut = cuts[rows, j]
-                prefix_len = int(cut.max())
-                prefix = self.lists[j][:prefix_len]
-                if engine:
-                    plo = int(packed.starts[j])
-                    D = self.metric.pairwise_prepared(
-                        (Qp_q if quant else Qp).take(lo + rows),
-                        Cp.slice(plo, plo + prefix_len),
-                        squared=squared,
-                    )
-                else:
-                    Qg = self.metric.take(Qb, lo + rows)
-                    D = self.metric.pairwise(Qg, self.metric.take(self.X, prefix))
-                ragged = int(cut.min()) < prefix_len
-                if ragged and not engine:
-                    # ragged group scanned as one padded block: a row only
-                    # owns its own trimmed prefix
-                    D[np.arange(prefix_len)[None, :] >= cut[:, None]] = np.inf
-                if touched is not None:
-                    touched[prefix] = True
-                _record_dist_tile(
-                    recorder, self.metric, rows.size, prefix_len, dim,
-                    "exact:stage2", itemsize=itemsize,
-                )
-                _record_select(
-                    recorder, rows.size, prefix_len, "exact:stage2",
-                    itemsize=itemsize,
-                )
-                if engine:
-                    if quant:
-                        # per-element triangle bound: a candidate with true
-                        # distance <= gamma has decoded-scan distance
-                        # <= gamma + resid, so nothing widened out of this
-                        # mask can belong to the final top-k
-                        bnd = (
-                            g_chunk[rows][:, None]
-                            + qop.resid[plo : plo + prefix_len][None, :]
-                        )
-                        if squared:
-                            bnd = self.metric.to_squared(bnd)
-                        mask = D <= bnd * (1.0 + 1e-4) + 1e-9
-                    else:
-                        mask = D <= thr[rows][:, None]
-                    if ragged:
-                        # fold the ragged-prefix ownership into the same
-                        # mask instead of writing inf padding into D
-                        mask &= np.arange(prefix_len)[None, :] < cut[:, None]
-                    # 1-D nonzero + divmod beats 2-D nonzero by ~2x here
-                    flat = np.flatnonzero(mask)
-                    rr, cc = np.divmod(flat, prefix_len)
-                    acc_r.append(rows[rr])
-                    acc_d.append(
-                        D.reshape(-1)[flat].astype(np.float64, copy=False)
-                    )
-                    acc_g.append(prefix[cc])
-                else:
-                    merge_group_topk(dists, idxs, rows, D, prefix, n_valid=cut)
-                if recorder.enabled:
-                    # two (rows, k) candidate blocks: distances at the
-                    # compute itemsize plus int64 ids
-                    recorder.record(
-                        Op(
-                            kind="reduce",
-                            flops=4.0 * rows.size * k,
-                            bytes=2.0 * rows.size * k * (itemsize + 8.0),
-                            vectorizable=True,
-                            tag="exact:stage2:merge",
-                        )
-                    )
-            # fold in the seeds not already scanned above, reusing their
-            # stage-1 distances (no new evaluations)
-            sd = np.take_along_axis(Dc, seed_cols, axis=1).astype(
-                np.float64, copy=True
-            )
-            if squared:
-                # accumulators hold squared distances; lift the seeds into
-                # the same domain before merging
-                sd = self.metric.to_squared(sd)
-            sd[in_parts] = np.inf
-            sg = self.rep_ids[seed_cols]
+        for j in cols:
+            rows = np.flatnonzero(pruned.cuts[:, j])
+            cut = pruned.cuts[rows, j]
+            prefix_len = int(cut.max())
+            prefix = lists[j][:prefix_len]
             if engine:
-                # seeds are at distance <= gamma <= thr by construction, so
-                # they join the survivor pool unconditionally
-                srr, scc = np.nonzero(np.isfinite(sd))
-                acc_r.append(srr)
-                acc_d.append(sd[srr, scc])
-                acc_g.append(sg[srr, scc])
-                r_all = np.concatenate(acc_r)
-                d_all = np.concatenate(acc_d)
-                g_all = np.concatenate(acc_g)
-                # one ranking pass over all survivors: stable sort by
-                # (query row, distance), then each row keeps its first k_out
-                order = np.lexsort((d_all, r_all))
-                r_s = r_all[order]
-                rank = np.arange(r_s.size) - np.searchsorted(
-                    r_s, np.arange(c + 1)
-                )[r_s]
-                if quant:
-                    # approximate scan distances cannot rank the answer:
-                    # keep *every* survivor (the widened bound guarantees
-                    # the true top-k are among them), pad to the widest
-                    # row and re-rank the whole pool in exact float64
-                    counts = np.bincount(r_s, minlength=c)
-                    width = max(int(counts.max()) if counts.size else 0, 1)
-                    padded = np.full((c, width), EMPTY_IDX, dtype=np.int64)
-                    padded[r_s, rank] = g_all[order]
-                    qd, qi = refine_topk(
-                        self.metric,
-                        self.metric.take(Qb, np.arange(lo, hi)),
-                        self.X,
-                        padded,
-                        k,
-                    )
-                    return qd, qi, sub
-                sel = rank < k_out
-                dists[r_s[sel], rank[sel]] = d_all[order][sel]
-                idxs[r_s[sel], rank[sel]] = g_all[order][sel]
-            else:
-                d_s, li = topk_of_block(sd, k_out)
-                gi = np.where(
-                    li >= 0,
-                    np.take_along_axis(sg, np.clip(li, 0, None), axis=1),
-                    EMPTY_IDX,
+                plo = int(starts[j])
+                D = metric.pairwise_prepared(
+                    Qop.take(rows),
+                    Cp.slice(plo, plo + prefix_len),
+                    squared=squared,
                 )
-                gi = np.where(np.isfinite(d_s), gi, EMPTY_IDX)
-                dists, idxs = merge_topk((dists, idxs), (d_s, gi))
+            else:
+                D = metric.pairwise(
+                    metric.take(Qop, rows), metric.take(self.X, prefix)
+                )
+            if touched is not None:
+                touched[prefix] = True
+            _record_dist_tile(
+                recorder, metric, rows.size, prefix_len, dim,
+                "exact:stage2", itemsize=itemsize,
+            )
+            _record_select(
+                recorder, rows.size, prefix_len, "exact:stage2",
+                itemsize=itemsize,
+            )
+            if qop is not None:
+                # per-element triangle bound: a candidate with true distance
+                # <= gamma has decoded-scan distance <= gamma + resid
+                resid = qop.resid[plo : plo + prefix_len]
+                bnd = gamma[rows][:, None] + resid[None, :]
+                if squared:
+                    bnd = metric.to_squared(bnd)
+                mask = D <= bnd * (1.0 + 1e-4) + 1e-9
+            else:
+                mask = D <= thr[rows][:, None]
+            if int(cut.min()) < prefix_len:
+                # ragged group scanned as one padded block: a row only owns
+                # its own trimmed prefix
+                mask &= np.arange(prefix_len)[None, :] < cut[:, None]
+            a, b = s_at[j], s_at[j + 1]
+            if a < b:
+                mask[np.searchsorted(rows, s_row[a:b]), pos[s_rep[a:b]]] = True
+            # 1-D nonzero + divmod beats 2-D nonzero by ~2x here
+            flat = np.flatnonzero(mask)
+            rr, cc = np.divmod(flat, prefix_len)
+            acc_r.append(rows[rr])
+            acc_d.append(D.reshape(-1)[flat].astype(np.float64, copy=False))
+            acc_g.append(prefix[cc])
             if recorder.enabled:
+                # two (rows, k) candidate blocks: distances at the compute
+                # itemsize plus int64 ids
                 recorder.record(
                     Op(
                         kind="reduce",
-                        flops=4.0 * c * k,
-                        bytes=2.0 * c * k * (itemsize + 8.0),
+                        flops=4.0 * rows.size * pruned.k,
+                        bytes=2.0 * rows.size * pruned.k * (itemsize + 8.0),
                         vectorizable=True,
                         tag="exact:stage2:merge",
                     )
                 )
-            if touched is not None and touched.any():
-                recorder.record(
-                    Op(
-                        kind="memcpy",
-                        flops=0.0,
-                        bytes=itemsize * dim * float(touched.sum()),
-                        tag="exact:stage2-stream",
-                    )
+        if touched is not None and touched.any():
+            recorder.record(
+                Op(
+                    kind="memcpy",
+                    flops=0.0,
+                    bytes=itemsize * dim * float(touched.sum()),
+                    tag="exact:stage2-stream",
                 )
-        if squared:
-            dists = self.metric.from_squared(dists)
-        return dists, idxs, sub
+            )
+        pool = tuple(np.concatenate(acc) for acc in (acc_r, acc_d, acc_g))
+        return pool if top is None else _top([pool], len(gamma), top)[:3]
+
+    def _squared(self, Qop) -> bool:
+        """Whether scans of ``Qop`` rank in the metric's squared domain."""
+        return isinstance(Qop, Prepared) and self.metric.squared_ok
+
+    def _seeds(self, Qop, D_R, pruned):
+        """The seed representatives no scanned prefix holds, as a pool at
+        their stage-1 distances (no new evaluations), in the domain the
+        scans of ``Qop`` rank in."""
+        rows, col = np.nonzero(pruned.seed_new)
+        reps = pruned.seed_cols[rows, col]
+        d = D_R[rows, reps]
+        if self._squared(Qop):
+            d = self.metric.to_squared(d)
+        return rows, d, self.rep_ids[reps]
+
+    def _gather(self, Qop, D_R, pruned, pools, k):
+        """Final selection: the scanned survivor ``pools`` plus the seeds no
+        scanned prefix holds, ranked to each row's ``k`` nearest and mapped
+        back to distances.  Returns ``(dist, idx)`` of shape ``(c, k)``,
+        padded with ``inf``/``-1``."""
+        c = D_R.shape[0]
+        r, d, g, rank = _top([*pools, self._seeds(Qop, D_R, pruned)], c, k)
+        dist = np.full((c, k), np.inf)
+        idx = np.full((c, k), EMPTY_IDX, dtype=np.int64)
+        dist[r, rank] = d
+        idx[r, rank] = g
+        if self._squared(Qop):
+            dist = self.metric.from_squared(dist)
+        return dist, idx
 
     # ------------------------------------------------------ dynamic updates
     def insert(self, x) -> int:
@@ -909,3 +899,36 @@ class ExactRBC(RBCBase):
             else:
                 out.append((np.empty(0), np.empty(0, dtype=np.int64)))
         return out
+
+
+class _Pruned(NamedTuple):
+    """One stage-1 block's pruning decisions (:meth:`ExactRBC._prune`)."""
+
+    k: int
+    #: (c,) distance to each query's k-th nearest representative
+    gamma: np.ndarray
+    #: (c, n_reps) Claim-2 prefix length per query and list; 0 where the
+    #: psi or 3-gamma rule discarded the representative
+    cuts: np.ndarray
+    #: (c, kk) columns of each query's kk = min(k, n_reps) nearest
+    #: representatives, the seeds
+    seed_cols: np.ndarray
+    #: (c, kk) seeds that no scanned prefix holds
+    seed_new: np.ndarray
+    #: the rule counters (:meth:`SearchStats.rule_counts` fields)
+    stats: SearchStats
+
+
+def _top(pools, c, k=None):
+    """Rank survivor pools per query row: one stable sort by (row,
+    distance) over their concatenation.  Returns ``(rows, dists, ids,
+    rank)`` of each row's ``k`` nearest entries (all when ``k`` is
+    ``None``), ``rank`` being the position within the row."""
+    r, d, g = (np.concatenate(part) for part in zip(*pools))
+    order = np.lexsort((d, r))
+    r, d, g = r[order], d[order], g[order]
+    rank = np.arange(r.size) - np.searchsorted(r, np.arange(c + 1))[r]
+    if k is not None:
+        sel = rank < k
+        r, d, g, rank = r[sel], d[sel], g[sel], rank[sel]
+    return r, d, g, rank

@@ -5,11 +5,13 @@ Two engines over the same :class:`~repro.distributed.cluster.ClusterSpec`:
 * :class:`DistributedRBC` — the paper's proposal: the database is
   distributed *by representative*; each node stores some representatives
   with their complete ownership lists.  A query is pruned at the
-  coordinator using the exact-search rules (one small ``BF(Q, R)`` — the
-  representative table is tiny, O(√n), and lives on the coordinator), then
-  travels only to the nodes hosting its surviving representatives.  The
-  second brute-force stage is entirely node-local, and the result merge is
-  k values per contacted node.  Answers are exact.
+  coordinator by the exact search's own pruning step (one small
+  ``BF(Q, R)`` — the representative table is tiny, O(√n), and lives on the
+  coordinator), then travels only to the nodes whose lists keep a Claim-2
+  prefix for it.  The second brute-force stage is the exact search's own
+  grouped scan, run node-locally over each node's lists, and the result
+  merge is k values per contacted node.  Answers are
+  :meth:`ExactRBC.query <repro.core.exact.ExactRBC.query>`'s.
 
 * :class:`DistributedBruteForce` — the baseline: random row sharding;
   every query is broadcast to every node, every node scans its full shard,
@@ -122,8 +124,6 @@ class DistributedRBC:
         self.index: ExactRBC | None = None
         #: representative indices hosted by each node
         self.node_reps: list[list[int]] = []
-        #: node hosting each representative
-        self.rep_node: np.ndarray | None = None
         self.last_report: DistRunReport | None = None
 
     def build(
@@ -147,10 +147,6 @@ class DistributedRBC:
         self.node_reps = partition_by_representatives(
             sizes, self.cluster.n_nodes
         )
-        self.rep_node = np.empty(self.index.n_reps, dtype=np.int64)
-        for w, reps in enumerate(self.node_reps):
-            for j in reps:
-                self.rep_node[j] = w
         dim = self.metric.dim(X)
         self.build_comm = CommStats(
             bytes_to_nodes=[
@@ -178,6 +174,13 @@ class DistributedRBC:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Exact k-NN over the cluster; cost breakdown in ``last_report``.
 
+        The coordinator runs stage 1 and :meth:`ExactRBC._prune
+        <repro.core.exact.ExactRBC._prune>`; each node runs
+        :meth:`ExactRBC._scan <repro.core.exact.ExactRBC._scan>` over its
+        own representatives and replies with its top-k; the coordinator
+        ranks the replies with the seeds no node scanned.  Answers are
+        :meth:`ExactRBC.query <repro.core.exact.ExactRBC.query>`'s.
+
         ``ctx.recorder`` (when set) additionally receives the coordinator
         and node-scan operation phases, so a distributed run shows up in a
         harness :class:`~repro.runtime.report.RunReport` like any other.
@@ -187,140 +190,68 @@ class DistributedRBC:
         rctx = resolve_ctx(ctx)
         run_rec = rctx.recorder
         tracer = rctx.tracer
-        idx = self.index
+        index = self.index
         metric = self.metric
         cluster = self.cluster
         Qb = Q if isinstance(Q, np.ndarray) and Q.ndim == 2 else metric._as_batch(Q)
         m = metric.length(Qb)
         dim = metric.dim(Qb)
-        nr = idx.n_reps
+        nr = index.n_reps
 
         query_span = tracer.start_span("dist:query", engine="rbc", m=m, k=k)
-        # ---- coordinator: BF(Q, R), gamma, pruning (exact-search rules)
+        # ---- coordinator: BF(Q, R) and the exact search's pruning
         coord_rec = TraceRecorder()
         with tracer.span_under(query_span.context, "dist:coord", n_reps=nr), \
                 run_rec.phase("coord:stage1"), coord_rec.phase("coord:stage1"):
-            D_R = metric.pairwise(Qb, idx.rep_data)
+            Qop, D_R = index._stage1_float64(Qb)
             _record_dist_tile(coord_rec, metric, m, nr, dim, "coord:stage1")
             if run_rec.enabled:
                 _record_dist_tile(run_rec, metric, m, nr, dim, "coord:stage1")
-        kk = min(k, nr)
-        # gamma = distance to the k-th nearest representative, an upper
-        # bound on the k-th NN distance.  With fewer representatives than
-        # k no such bound exists — the nr-th rep distance does NOT bound
-        # the k-th neighbor — so pruning is disabled (same guard as
-        # ExactRBC.query) and every list is scanned in full.
-        if nr >= k:
-            gamma = np.partition(D_R, kk - 1, axis=1)[:, kk - 1]
-        else:
-            gamma = np.full(m, np.inf)
-
-        keep = (D_R - idx.radii[None, :] < gamma[:, None]) & (
-            D_R <= 3.0 * gamma[:, None]
-        )
+        pruned = index._prune(D_R, k)
         coordinator_s = simulate(coord_rec.trace, cluster.coordinator_spec).time_s
 
-        # ---- routing: which queries touch which node, and their candidates
-        per_node_tasks: list[list[tuple[int, np.ndarray]]] = [
-            [] for _ in range(cluster.n_nodes)
-        ]
-        bytes_to = [0.0] * cluster.n_nodes
-        messages = 0
-        for qi in range(m):
-            js = np.flatnonzero(keep[qi])
-            # node-local trim (Claim 2): the node can evaluate the cut
-            # itself from rho(q, r) + gamma, both shipped with the query
-            touched: dict[int, list[np.ndarray]] = {}
-            for j in js:
-                cut = np.searchsorted(
-                    idx.list_dists[j], D_R[qi, j] + gamma[qi], side="right"
-                )
-                if cut == 0:
-                    continue
-                touched.setdefault(int(self.rep_node[j]), []).append(
-                    idx.lists[j][:cut]
-                )
-            # representative seeds keep boundary ties exact; the
-            # coordinator already knows their distances, so they cost no
-            # communication (handled at merge below)
-            for w, cand_parts in touched.items():
-                cand = np.concatenate(cand_parts)
-                per_node_tasks[w].append((qi, cand))
-                # message: query vector + per-rep (id, cut bound) + gamma
-                bytes_to[w] += (
-                    dim * _FLOAT_BYTES
-                    + len(cand_parts) * (_ID_BYTES + _FLOAT_BYTES)
-                    + _FLOAT_BYTES
-                )
-                messages += 1
-
-        # ---- node-local brute force over shipped candidate lists
-        # the query span's context is part of each coordinator→node
-        # message; nodes record their scans under it and ship the finished
-        # spans back with the results
+        # ---- per node: route the queries its lists keep a Claim-2 prefix
+        # for, scan them there, and count the traffic.  The query span's
+        # context is part of each coordinator->node message; nodes record
+        # their scans under it and ship the finished spans back.
         span_ctx = query_span.context if tracer.enabled else None
-        node_evals = [0] * cluster.n_nodes
-        node_results: list[list[tuple[int, np.ndarray, np.ndarray]]] = [
-            [] for _ in range(cluster.n_nodes)
-        ]
-        node_times = []
+        node_evals, node_times, replies = [], [], []
+        bytes_to, bytes_from = [], []
+        messages = 0
         with run_rec.phase("node:scan"):
-            for w, tasks in enumerate(per_node_tasks):
+            for w, reps in enumerate(self.node_reps):
+                reps = np.asarray(reps, dtype=np.int64)
+                cuts = pruned.cuts[:, reps]
+                n_parts = np.count_nonzero(cuts, axis=1)
+                rows = np.flatnonzero(n_parts)
+                evals = cuts[rows].sum(axis=1).tolist()
+                # message: query vector + gamma + per-rep (id, cut bound);
+                # reply: the node's top-k
+                sent = (dim + 1) * _FLOAT_BYTES + n_parts[rows] * (
+                    _ID_BYTES + _FLOAT_BYTES
+                )
+                bytes_to.append(float(sent.sum()))
+                bytes_from.append(rows.size * k * (_FLOAT_BYTES + _ID_BYTES))
+                messages += int(rows.size)
+                node_evals.append(int(sum(evals)))
                 ntracer = _node_tracer(span_ctx)
-                counts = []
                 with ntracer.span(
-                    "dist:node", node=w, n_queries=len(tasks)
+                    "dist:node", node=w, n_queries=int(rows.size)
                 ) as nspan:
-                    for qi, cand in tasks:
-                        D2 = metric.pairwise(
-                            metric.take(Qb, [qi]), metric.take(idx.X, cand)
-                        )
-                        d, li = topk_of_block(D2, k)
-                        gi = np.where(
-                            li[0] >= 0, cand[np.clip(li[0], 0, None)], EMPTY_IDX
-                        )
-                        node_results[w].append((qi, d[0], gi))
-                        node_evals[w] += cand.size
-                        counts.append(cand.size)
-                        if run_rec.enabled and cand.size:
-                            _record_dist_tile(
-                                run_rec, metric, 1, cand.size, dim, "node:scan"
-                            )
+                    replies.append(
+                        index._scan(Qop, pruned, reps, top=k, recorder=run_rec)
+                    )
                     nspan.set(evals=node_evals[w])
                 tracer.adopt(ntracer.export())
                 node_times.append(
-                    _node_compute_time(cluster.nodes[w], metric, dim, counts)
+                    _node_compute_time(cluster.nodes[w], metric, dim, evals)
                 )
 
         # ---- gather + merge at the coordinator
-        bytes_from = [
-            len(tasks) * k * (_FLOAT_BYTES + _ID_BYTES)
-            for tasks in per_node_tasks
-        ]
-        # merge width 2k: a representative can arrive both as a seed and
-        # inside its own shipped list, and duplicates must not be able to
-        # push a genuine neighbor past the merge window before the dedupe
-        W = 2 * k
         with tracer.span_under(
             query_span.context, "dist:merge", n_messages=messages
         ):
-            seed_order = np.argsort(D_R, axis=1, kind="stable")[:, :kk]
-            seed_d = np.take_along_axis(D_R, seed_order, axis=1)
-            seed_i = idx.rep_ids[seed_order].astype(np.int64)
-            out_d = np.pad(seed_d, ((0, 0), (0, W - kk)), constant_values=np.inf)
-            out_i = np.pad(
-                seed_i, ((0, 0), (0, W - kk)), constant_values=EMPTY_IDX
-            )
-            for w in range(cluster.n_nodes):
-                for qi, d, gi in node_results[w]:
-                    dw = np.pad(d, (0, W - d.size), constant_values=np.inf)
-                    gw = np.pad(gi, (0, W - gi.size), constant_values=EMPTY_IDX)
-                    md, mi = merge_topk(
-                        (out_d[qi : qi + 1], out_i[qi : qi + 1]),
-                        (dw[None, :], gw[None, :]),
-                    )
-                    out_d[qi], out_i[qi] = md[0], mi[0]
-            out_d, out_i = _dedupe_batch(out_d, out_i, k)
+            out_d, out_i = index._gather(Qop, D_R, pruned, replies, k)
 
         merge_s = _merge_time(cluster, m, k, messages)
         tracer.finish(query_span)
@@ -473,9 +404,3 @@ def _merge_time(cluster: ClusterSpec, m: int, k: int, n_messages: int) -> float:
     trace = Trace([Phase("merge", [Op("reduce", flops, 8.0 * m * k)])])
     return simulate(trace, cluster.coordinator_spec).time_s
 
-
-def _dedupe_batch(d: np.ndarray, i: np.ndarray, k: int):
-    """Representative seeds also live in some node's list; drop repeats."""
-    from ..parallel.reduce import dedupe_rows
-
-    return dedupe_rows(d, i, k)

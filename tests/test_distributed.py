@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import ExactRBC
 from repro.distributed import (
     ClusterSpec,
     DistributedBruteForce,
@@ -236,19 +237,39 @@ def test_skewed_shards_charge_active_nodes_only(rng):
     )
 
 
-def test_single_node_parity_with_exact_rbc(clustered):
-    # DistributedRBC on one node is ExactRBC plus bookkeeping: same
-    # neighbor ids, same distances
-    from repro import ExactRBC
-
+@pytest.mark.parametrize("n_nodes", [1, 2, 4])
+def test_single_node_parity_with_exact_rbc(clustered, n_nodes):
+    # DistributedRBC runs ExactRBC's own pruning and scan steps, split by
+    # node: same neighbor ids, same distances, for any node count
     X, Q = clustered
-    cluster = ClusterSpec.homogeneous(1, DESKTOP_QUAD)
+    cluster = ClusterSpec.homogeneous(n_nodes, DESKTOP_QUAD)
     eng = DistributedRBC(cluster, seed=0).build(X, n_reps=120)
     local = ExactRBC(seed=0).build(X, n_reps=120)
     dd, di = eng.query(Q, k=3)
     ld, li = local.query(Q, k=3)
     np.testing.assert_array_equal(di, li)
-    np.testing.assert_allclose(dd, ld, rtol=0, atol=1e-9)
+    np.testing.assert_array_equal(dd, ld)
+
+
+@pytest.mark.parametrize("n_nodes", [1, 2, 4])
+@pytest.mark.parametrize("k", [1, 4])
+def test_parity_on_duplicate_heavy_data(rng, n_nodes, k):
+    # every row repeated: ties everywhere, and queries that coincide with
+    # representatives put gamma at zero
+    base = rng.normal(size=(300, 5))
+    X = np.repeat(base, 3, axis=0)
+    Q = np.concatenate([X[rng.choice(len(X), 30)], rng.normal(size=(10, 5))])
+    cluster = ClusterSpec.homogeneous(n_nodes, DESKTOP_QUAD)
+    eng = DistributedRBC(cluster, seed=0).build(X, n_reps=40)
+    local = ExactRBC(seed=0).build(X, n_reps=40)
+    dd, di = eng.query(Q, k=k)
+    ld, _ = local.query(Q, k=k)
+    true_d, _ = bf_knn(Q, X, k=k)
+    assert results_match_exactly(dd, ld)
+    # brute force blocks its GEMMs differently, so near-zero distances
+    # may round apart by ~1e-8
+    assert results_match_exactly(dd, true_d, atol=1e-7)
+    assert (di >= 0).all()
 
 
 def test_query_before_build(cluster):

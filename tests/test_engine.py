@@ -185,13 +185,15 @@ def test_dynamic_update_invalidates_and_recomputes(cls, rng):
     assert index._version > version1
     d2, i2 = index.query(Q, k=2)
     assert gid not in i2
-    # results after churn match a fresh index built on the same data
-    rebuilt = type(index)(seed=0, engine=False)
-    rebuilt.build(np.asarray(index.X[: index.n]))
-    # (only check exactness for the exact search; one-shot is stochastic)
+    # results after churn match a fresh exact index built on the live
+    # rows, its ids mapped back through active_ids (only checked for the
+    # exact search; one-shot is stochastic)
     if cls is ExactRBC:
-        d3, i3 = index.query(Q, k=2)
-        np.testing.assert_array_equal(i2, i3)
+        live = index.active_ids
+        rebuilt = ExactRBC(seed=0).build(index.X[live])
+        d3, i3 = rebuilt.query(Q, k=2)
+        np.testing.assert_array_equal(i2, live[i3])
+        np.testing.assert_allclose(d2, d3, rtol=1e-12, atol=1e-12)
 
 
 # ----------------------------------------------------------- engine on/off

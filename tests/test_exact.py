@@ -74,6 +74,36 @@ def test_duplicate_points_exact():
     assert results_match_exactly(d, true_d)
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {},
+        {"engine": False},
+        {"dtype": "float32"},
+        {"quantizer": "int8", "quant_strategy": "grouped"},
+    ],
+)
+def test_scanned_seeds_survive_rounding(kw):
+    # Gram-trick distances of near-coincident points carry rounding error
+    # relative to the norms (|x|^2 ~ 3e3 in the first set; float32 codes
+    # in the quantized scan), beyond the gamma threshold's relative slack;
+    # the scan must still keep the seeds its prefixes hold, or rows come
+    # back empty
+    rng = np.random.default_rng(4)
+    spike = np.full((24, 4), -27.64007288)
+    spike[0, 0] = 0.0
+    repeated = np.repeat(rng.normal(size=(300, 5)), 3, axis=0)
+    cases = (
+        (spike, spike[:4] + 0.01, 84),
+        (repeated, repeated[rng.choice(900, 60)], 1),
+    )
+    for X, Q, seed in cases:
+        d, i = ExactRBC(seed=seed, **kw).build(X).query(Q, k=1)
+        true_d, _ = bf_knn(Q, X, k=1)
+        assert (i >= 0).all()
+        assert results_match_exactly(d, true_d, atol=1e-7)
+
+
 def test_integer_grid_ties_exact():
     # lattice data has massive distance ties: the boundary cases of the
     # pruning inequalities all fire here
@@ -166,6 +196,23 @@ def test_stats_accounting(small_vectors):
     assert st_.stage1_evals + st_.stage2_evals == spent
     assert st_.n_queries == Q.shape[0]
     assert st_.total_evals == spent
+
+
+def test_candidate_fraction_probe_counts_live_rows():
+    # the probe feeds the autotuner, the router and DriftMonitor: after
+    # deletes it must still read the kept share of the *live* database
+    # (16-d Gaussian: the rules keep nearly everything, before and after)
+    rng = np.random.default_rng(0)
+    index = ExactRBC(seed=0).build(rng.normal(size=(1000, 16)))
+    before = index._estimate_candidate_fraction()
+    reps = set(index.rep_ids.tolist())
+    for gid in range(0, 1000, 2):
+        if gid not in reps:
+            index.delete(gid)
+    assert index.n_active < 0.6 * index.n
+    after = index._estimate_candidate_fraction()
+    assert before > 0.8
+    assert after == pytest.approx(before, abs=0.1)
 
 
 def test_range_query_matches_brute(small_vectors):

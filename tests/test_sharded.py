@@ -39,6 +39,9 @@ def test_sharded_bit_identical_to_single_node(served_index, n_shards):
         got = srv.search_stream(Q, qps=3000.0)
     np.testing.assert_array_equal(got.idx, want.idx)
     assert (got.dist == want.dist).all()  # bit-identical, not just close
+    # the shards run the single-node pruning and scan, so EXPLAIN's rule
+    # attribution matches too
+    assert got.rule_counts == want.rule_counts
     assert got.n_shards == n_shards
 
 
@@ -52,6 +55,7 @@ def test_random_partition_bit_identical(served_index):
         got = srv.search_stream(Q, qps=3000.0)
     np.testing.assert_array_equal(got.idx, want.idx)
     assert (got.dist == want.dist).all()
+    assert got.rule_counts == want.rule_counts
 
 
 def test_sharded_k_exceeds_rep_count(rng):
