@@ -6,8 +6,8 @@ cached per dataset, stage-2 candidates are contiguous slices of a packed
 pre-gathered matrix, ``squared_ok`` metrics rank in the squared domain,
 the uniform one-shot lists collapse to batched block-diagonal matmuls,
 and the exact stage 2 filters candidates against the gamma bound instead
-of running a selection per representative.  ``dtype="float32"`` halves
-GEMM traffic on top, with a float64 re-rank keeping answers safe.
+of running a selection per representative.  Both sides compute in
+float64, the one compute precision.
 
 This benchmark measures the acceptance configuration (d=16 Gaussian,
 n=20k, m=1k, k=5): with warm caches both index classes must answer
@@ -60,19 +60,14 @@ def run_class(cls, X, Q, rounds: int = 7):
     indexes = {
         "base": cls(seed=0, engine=False).build(X),
         "f64": cls(seed=0).build(X),
-        "f32": cls(seed=0, dtype="float32").build(X),
     }
 
     # ---- answers first (also warms every cache)
     d0, i0 = indexes["base"].query(Q, k=K)
     d64, i64 = indexes["f64"].query(Q, k=K)
-    d32, i32 = indexes["f32"].query(Q, k=K)
     # default engine path: bit-identical to the pre-engine formulation
     assert np.array_equal(i0, i64), f"{cls.__name__}: f64 engine changed ids"
     assert np.array_equal(d0, d64), f"{cls.__name__}: f64 engine changed dists"
-    # float32 + refinement: identical neighbor ids, float64-accurate dists
-    assert np.array_equal(i0, i32), f"{cls.__name__}: f32 path changed ids"
-    np.testing.assert_allclose(d0, d32, rtol=1e-9, atol=1e-12)
 
     times = _interleaved_times(
         {name: (lambda ix=ix: ix.query(Q, k=K)) for name, ix in indexes.items()},
@@ -82,9 +77,8 @@ def run_class(cls, X, Q, rounds: int = 7):
     return {
         "base_s": min(times["base"]),
         "engine_f64_s": min(times["f64"]),
-        "engine_f32_s": min(times["f32"]),
-        "speedup_f64": _median_ratio(times["base"], times["f64"]),
-        "speedup_f32": _median_ratio(times["base"], times["f32"]),
+        # the gated headline (check_regression.py tracks this key)
+        "speedup": _median_ratio(times["base"], times["f64"]),
         "evals_per_query": evals / M,
     }
 
@@ -99,30 +93,23 @@ def test_kernel_engine_speedup(benchmark, report):
             "exact": run_class(ExactRBC, X, Q),
             "oneshot": run_class(OneShotRBC, X, Q),
         }
-        # the headline number: the best answer-safe engine config per class
-        # (exact leans on float32 + float64 refinement, one-shot is already
-        # past the bar in plain float64)
-        for name, r in results.items():
-            r["speedup"] = max(r["speedup_f64"], r["speedup_f32"])
         # flaky-runner guard: re-measure once with more rounds before failing
         if min(r["speedup"] for r in results.values()) < SPEEDUP_BAR:
             results = {
                 "exact": run_class(ExactRBC, X, Q, rounds=15),
                 "oneshot": run_class(OneShotRBC, X, Q, rounds=15),
             }
-            for name, r in results.items():
-                r["speedup"] = max(r["speedup_f64"], r["speedup_f32"])
         return results
 
     results = bench_once(benchmark, experiment)
 
     rows = [
-        [name, r["base_s"], r["engine_f64_s"], r["engine_f32_s"],
-         r["speedup_f64"], r["speedup_f32"], r["evals_per_query"]]
+        [name, r["base_s"], r["engine_f64_s"], r["speedup"],
+         r["evals_per_query"]]
         for name, r in results.items()
     ]
     text = format_table(
-        ["index", "base s", "f64 s", "f32 s", "x f64", "x f32", "evals/q"],
+        ["index", "base s", "engine s", "speedup", "evals/q"],
         rows,
         title=f"Kernel engine, warm caches (n={N}, m={M}, d={DIM}, k={K})",
     )
@@ -140,6 +127,5 @@ def test_kernel_engine_speedup(benchmark, report):
     for name, r in results.items():
         assert r["speedup"] >= SPEEDUP_BAR, (
             f"{name}: warm-cache engine speedup {r['speedup']:.2f}x "
-            f"below the {SPEEDUP_BAR}x acceptance bar "
-            f"(f64 {r['speedup_f64']:.2f}x, f32 {r['speedup_f32']:.2f}x)"
+            f"below the {SPEEDUP_BAR}x acceptance bar"
         )

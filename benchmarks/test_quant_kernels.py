@@ -1,17 +1,22 @@
-"""Quantized kernel tier — warm-path throughput vs the float32 engine.
+"""Quantized kernel tier — warm-path throughput vs the float64 engine.
 
 The quantized tier attacks the regime the pruning rules cannot: at d=32
 on Gaussian data the exact RBC's triangle-inequality rules retain nearly
 the whole database, so stage 2 is a full scan in disguise and the win
-left on the table is *bytes per scanned dimension*.  int8 codes move 4x
-less than float32 (8x less than float64); the certified frontier scan
-over-fetches ``k' = ck`` candidates against a triangle-inequality bound
-and re-ranks them in float64, so answers stay id-identical to the exact
-engine — compression accelerates candidate generation, never ranking.
+left on the table is *bytes per scanned dimension*.  int8 codes move 8x
+less than float64; the certified frontier scan over-fetches ``k' = ck``
+candidates against a triangle-inequality bound and re-ranks them in
+float64, so answers stay id-identical to the exact engine — compression
+accelerates candidate generation, never ranking.
 
 This benchmark measures the acceptance configuration (d=32 Gaussian,
 n=20k, m=1k, k=5): the int8 flat plan must answer warm query batches
->= 2x faster than the float32 engine path at bit-identical result ids.
+>= 2.3x faster than the float64 engine path at bit-identical result ids.
+The bar was 2x against a float32 engine path, since deleted, whose
+median speedup over float64 measured 1.01-1.13x on this config (2-vCPU
+Intel Xeon, OpenBLAS); 2.0 x 1.13 rounds up to 2.3, so the gate is no
+looser against float64, the one compute precision.
+
 The scan backend (numpy decode-cache vs numba codes-direct) is whatever
 :func:`repro.metrics.jit.kernel_backend` resolves — the CI matrix runs
 both legs; answers are backend-independent by construction because both
@@ -41,7 +46,7 @@ BENCH_JSON = pathlib.Path(__file__).resolve().parents[1] / "BENCH_quant.json"
 #: the acceptance config: d=32 Gaussian — pruning is ineffective here, so
 #: the flat certified scan is the tuned strategy (pinned for determinism)
 N, M, DIM, K = 20_000, 1_000, 32, 5
-SPEEDUP_BAR = 2.0
+SPEEDUP_BAR = 2.3
 
 
 def _interleaved_times(fns: dict, rounds: int) -> dict:
@@ -62,7 +67,7 @@ def _median_ratio(base: list, other: list) -> float:
 
 def run_quant(X, Q, rounds: int = 7):
     indexes = {
-        "f32": ExactRBC(seed=0, dtype="float32").build(X),
+        "f64": ExactRBC(seed=0).build(X),
         "quant": ExactRBC(
             seed=0, quantizer="int8", quant_strategy="flat"
         ).build(X),
@@ -71,10 +76,10 @@ def run_quant(X, Q, rounds: int = 7):
         ix.warm()
 
     # ---- answers first (also warms the code caches)
-    d32, i32 = indexes["f32"].query(Q, k=K)
+    d64, i64 = indexes["f64"].query(Q, k=K)
     dq, iq = indexes["quant"].query(Q, k=K)
-    assert np.array_equal(i32, iq), "quantized path changed result ids"
-    np.testing.assert_allclose(d32, dq, rtol=1e-9, atol=1e-12)
+    assert np.array_equal(i64, iq), "quantized path changed result ids"
+    np.testing.assert_allclose(d64, dq, rtol=1e-9, atol=1e-12)
 
     times = _interleaved_times(
         {name: (lambda ix=ix: ix.query(Q, k=K)) for name, ix in indexes.items()},
@@ -82,16 +87,16 @@ def run_quant(X, Q, rounds: int = 7):
     )
     quant_info = dict(indexes["quant"].last_stats.quant)
     return {
-        "f32_s": min(times["f32"]),
+        "f64_s": min(times["f64"]),
         "quant_s": min(times["quant"]),
-        "speedup": _median_ratio(times["f32"], times["quant"]),
+        "speedup": _median_ratio(times["f64"], times["quant"]),
         "backend": quant_info.get("backend", kernel_backend("int8")),
         "quantizer": quant_info.get("quantizer", "int8"),
         "strategy": quant_info.get("strategy", "flat"),
         "k_prime": quant_info.get("k_prime", 0),
         "recall_before_rerank": quant_info.get("recall_before_rerank", 0.0),
         "code_bytes": quant_info.get("code_bytes", 0),
-        "f32_bytes": int(N * DIM * 4),
+        "f64_bytes": int(N * DIM * 8),
     }
 
 
@@ -112,7 +117,7 @@ def test_quant_kernel_speedup(benchmark, report):
     text = format_table(
         ["contender", "s/batch", "speedup", "bytes/scan"],
         [
-            ["f32 engine", r["f32_s"], 1.0, r["f32_bytes"]],
+            ["f64 engine", r["f64_s"], 1.0, r["f64_bytes"]],
             [f"int8 flat ({r['backend']})", r["quant_s"], r["speedup"],
              r["code_bytes"]],
         ],
@@ -136,5 +141,5 @@ def test_quant_kernel_speedup(benchmark, report):
     assert r["speedup"] >= SPEEDUP_BAR, (
         f"quantized warm-path speedup {r['speedup']:.2f}x below the "
         f"{SPEEDUP_BAR}x acceptance bar ({r['backend']} backend, "
-        f"f32 {r['f32_s']*1e3:.1f}ms vs quant {r['quant_s']*1e3:.1f}ms)"
+        f"f64 {r['f64_s']*1e3:.1f}ms vs quant {r['quant_s']*1e3:.1f}ms)"
     )

@@ -66,7 +66,7 @@ class BruteForceIndex(Index):
         ctx: ExecContext | None = None,
         **bf_kwargs,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Extra ``bf_kwargs`` (``tile_cols``, ``row_chunk``, ``dtype``)
+        """Extra ``bf_kwargs`` (``tile_cols``, ``row_chunk``, ``quantizer``)
         reach :func:`~repro.parallel.bruteforce.bf_knn`; benchmarks use
         them to set the parallel grain the machine models schedule.  An
         explicit ``ctx`` (or ``executor=``) overrides the index's

@@ -202,12 +202,11 @@ def _cmd_compare(args) -> int:
         print("(--quantize applies to --index rbc-exact only; skipping)")
         args.quantize = None
     if args.quantize:
-        ctx = ExecContext(engine=True)
         qidx = ExactRBC(seed=args.seed, quantizer=args.quantize).build(
             X, n_reps=args.n_reps
         )
-        qidx.warm(ctx)
-        qr = traced_query(qidx, Q, [AMD_48CORE], k=args.k, ctx=ctx)
+        qidx.warm()
+        qr = traced_query(qidx, Q, [AMD_48CORE], k=args.k, ctx=ExecContext())
         qsame = bool(
             r.idx is not None and qr.idx is not None
             and np.array_equal(r.idx, qr.idx)

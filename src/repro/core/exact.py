@@ -39,12 +39,15 @@ group-by-rep structure as the one-shot search).  This is the paper's core
 argument applied to its own exact algorithm: per-query scalar work
 coalesces into brute-force blocks that run at hardware speed.
 
-The rules and the scan are written once, as two steps that store no
-per-call state on the index: :meth:`ExactRBC._prune` (gamma, rules, cuts,
-seeds, counters) and :meth:`ExactRBC._scan` (the grouped scan of a chosen
-set of representatives' lists).  :meth:`ExactRBC.query` runs them over all
+The search is written once, as three steps that store no per-call state
+on the index: :meth:`ExactRBC._stage1` (``BF(Q, R)``),
+:meth:`ExactRBC._prune` (gamma, rules, cuts, seeds, counters) and
+:meth:`ExactRBC._scan` (the grouped scan of a chosen set of
+representatives' lists).  :meth:`ExactRBC.query` runs them over all
 representatives; the sharded searcher and the distributed engine run the
 scan once per shard or node (§8: distribute the search by representative).
+Every distance is float64; the one reduced-precision path is the quantized
+tier, whose scans only generate candidates for a float64 re-rank.
 """
 
 from __future__ import annotations
@@ -96,11 +99,8 @@ class ExactRBC(RBCBase):
         its nearest representative (paper §4).
 
         ``n_reps`` defaults to the standard setting ``c^{3/2} sqrt(n)``.
-        The build always computes in float64 (stored list distances and
-        radii must stay exact bounds), so only ``ctx``'s transport fields
-        — executor, recorder, chunking — apply here.
         """
-        ctx = self._call_ctx(ctx, recorder=recorder).transport()
+        ctx = self._call_ctx(ctx, recorder=recorder)
         self._require_true_metric("the exact search's pruning")
         n = self.metric.length(X)
         if n == 0:
@@ -163,11 +163,8 @@ class ExactRBC(RBCBase):
             raise ValueError("approx_eps must be >= 0")
         ctx = self._call_ctx(ctx, recorder=recorder, executor=executor)
         recorder = ctx.recorder
-        dtype = ctx.dtype_or_default
         stats = SearchStats()
         nr = self.n_reps
-        engine = self._engine_active(ctx)
-        fp32 = engine and dtype == "float32"
 
         Qb = Q if _is_batch(self.metric, Q) else self.metric._as_batch(Q)
         m = self.metric.length(Qb)
@@ -179,14 +176,18 @@ class ExactRBC(RBCBase):
                 np.full((0, k), EMPTY_IDX, dtype=np.int64),
             )
 
-        qplan = self._quant_plan() if engine else None
+        qplan = self._quant_plan() if self._engine_active(ctx) else None
         if qplan is not None and qplan.strategy == "flat":
             return self._query_quant_flat(Qb, k, qplan, stats, recorder)
-        Qp = self.metric.prepare(Qb, dtype=dtype) if engine else None
-        qop = None
+
+        # ---- stage 1: BF(Q, R) with all distances retained
+        evals0 = self.metric.counter.n_evals
+        Qs, D_R = self._stage1(Qb, ctx)
+        stats.stage1_evals = self.metric.counter.n_evals - evals0
         # the grouped scans run on the prepared block (engine) or the raw
         # queries (generic metrics) ...
-        Qs = Qp if engine else Qb
+        engine = isinstance(Qs, Prepared)
+        qop = None
         if qplan is not None:
             # ... or, quantized, on the float32 decode cache; every
             # survivor is then re-ranked in float64, so the answer ids
@@ -194,24 +195,13 @@ class ExactRBC(RBCBase):
             qop = self._quant_operand(qplan.quantizer)
             Qs = self.metric.prepare(Qb, dtype="float32")
 
-        # ---- stage 1: BF(Q, R) with all distances retained
-        evals0 = self.metric.counter.n_evals
-        D_R = self._stage1_distances(Qb, recorder, Qp=Qp)
-        stats.stage1_evals = self.metric.counter.n_evals - evals0
-
-        # float32 kernels carry ~1e-7 relative error: widening every
-        # pruning bound by 1e-4 leaves ample headroom at negligible extra
-        # candidate cost, and extra result slots keep rounding noise from
-        # evicting the true k-th neighbor before the float64 refinement
         rules = dict(
             use_psi_rule=use_psi_rule,
             use_3gamma_rule=use_3gamma_rule,
             use_trim=use_trim,
             approx_eps=approx_eps,
-            slack=1e-4 if fp32 else 0.0,
         )
-        k_out = k + max(8, k) if fp32 else k
-        itemsize = float(Qs.data.dtype.itemsize) if engine else 8.0
+        itemsize = float(Qs.dtype.itemsize) if engine else 8.0
 
         def task(chunk):
             lo, hi = chunk
@@ -234,7 +224,7 @@ class ExactRBC(RBCBase):
                     )
                 pool = self._scan(Qc, pruned, recorder=recorder, qop=qop)
                 if qop is None:
-                    dist, idx = self._gather(Qc, Dc, pruned, [pool], k_out)
+                    dist, idx = self._gather(Qc, Dc, pruned, [pool], k)
                 else:
                     # approximate scan distances cannot rank the answer:
                     # keep *every* survivor (the widened bound guarantees
@@ -281,10 +271,6 @@ class ExactRBC(RBCBase):
 
         dist = np.concatenate([p[0] for p in parts], axis=0)
         idx = np.concatenate([p[1] for p in parts], axis=0)
-        if fp32 and qop is None:
-            # exact float64 re-score and re-rank of the float32 candidates
-            # (the quantized path re-ranks inside each chunk already)
-            dist, idx = refine_topk(self.metric, Qb, self.X, idx, k)
         for p in parts:
             sub = p[2]
             stats.pruned_by_psi += sub.pruned_by_psi
@@ -351,42 +337,38 @@ class ExactRBC(RBCBase):
         self.last_stats = stats
         return dist, idx
 
-    def _stage1_distances(
-        self, Qb, recorder: TraceRecorder, Qp=None
-    ) -> np.ndarray:
-        """Full (m, n_reps) distance matrix, computed in row chunks.
+    def _stage1(self, Qb, ctx: ExecContext | None = None):
+        """Stage 1: ``BF(Q, R)`` with every distance retained.
 
-        With a prepared query block ``Qp`` the engine path runs: cached
-        representative operands, no coercion, no norm recomputation
-        (bit-identical values in float64; float32 results are widened back
-        to float64 so downstream pruning arithmetic is uniform).
+        The one stage-1 step of every exact search: :meth:`query`,
+        :meth:`range_query`, and the sharded searcher and distributed
+        engine, which run :meth:`_prune` and :meth:`_scan` themselves.
+        Returns ``(Qop, D_R)``: the prepared query block when the engine
+        applies (the raw batch otherwise) and the full ``(m, n_reps)``
+        distance matrix, computed in row chunks against the cached
+        prepared representatives.
         """
+        recorder = NULL_RECORDER if ctx is None else ctx.recorder
+        engine = self._engine_active(ctx)
+        Qop = self.metric.prepare(Qb) if engine else Qb
         m = self.metric.length(Qb)
         dim = self.metric.dim(self.rep_data)
         out = np.empty((m, self.n_reps))
         with recorder.phase("exact:stage1"):
-            if Qp is not None:
-                # the reps cache keys on dtype, so a per-call override via
-                # ExecContext gets (and keeps) its own prepared block
-                Rp = self._prepared_reps(str(Qp.data.dtype))
-                itemsize = float(Qp.data.dtype.itemsize)
-                for lo, hi in row_chunks(m, 1024):
+            Rp = self._prepared_reps() if engine else None
+            for lo, hi in row_chunks(m, 1024):
+                if engine:
                     out[lo:hi] = self.metric.pairwise_prepared(
-                        Qp.slice(lo, hi), Rp
+                        Qop.slice(lo, hi), Rp
                     )
-                    _record_dist_tile(
-                        recorder, self.metric, hi - lo, self.n_reps, dim,
-                        "exact:stage1", itemsize=itemsize,
-                    )
-            else:
-                for lo, hi in row_chunks(m, 1024):
+                else:
                     Qc = self.metric.take(Qb, np.arange(lo, hi))
                     out[lo:hi] = self.metric.pairwise(Qc, self.rep_data)
-                    _record_dist_tile(
-                        recorder, self.metric, hi - lo, self.n_reps, dim,
-                        "exact:stage1",
-                    )
-        return out
+                _record_dist_tile(
+                    recorder, self.metric, hi - lo, self.n_reps, dim,
+                    "exact:stage1",
+                )
+        return Qop, out
 
     def warm(self, ctx: ExecContext | None = None) -> "ExactRBC":
         """Additionally pre-computes the representative-position table the
@@ -450,18 +432,6 @@ class ExactRBC(RBCBase):
         kept = int(self._prune(D, 1).cuts.sum())
         return min(1.0, kept / max(1, probe_m * live.size))
 
-    def _stage1_float64(self, Qb):
-        """Stage 1 on the index's float64 operands, for callers that run
-        :meth:`_prune` and :meth:`_scan` themselves (the sharded searcher,
-        the distributed engine).  Returns ``(Qop, D_R)``: the prepared
-        query block (the raw batch when the engine does not apply) and the
-        ``(m, n_reps)`` representative distances."""
-        Qp = None
-        if self._engine_active():
-            Qp = self.metric.prepare(Qb, dtype="float64")
-        D_R = self._stage1_distances(Qb, NULL_RECORDER, Qp=Qp)
-        return (Qb if Qp is None else Qp), D_R
-
     def _prune(
         self,
         D_R,
@@ -471,15 +441,13 @@ class ExactRBC(RBCBase):
         use_3gamma_rule=True,
         use_trim=True,
         approx_eps=0.0,
-        slack=0.0,
     ) -> "_Pruned":
         """The exact search's pruning for one stage-1 block (paper §5.2).
 
         ``D_R`` is the ``(c, n_reps)`` query-to-representative block.  The
         psi and 3-gamma rules are broadcast over the whole block, and the
         Claim-2 trim is one vectorized ``searchsorted`` per surviving
-        representative.  ``slack`` widens every bound by that relative
-        amount (float32 stage-1 distances).  Returns a :class:`_Pruned`;
+        representative.  Returns a :class:`_Pruned`;
         its rule counters are batching-invariant — they equal a per-query
         run of the same rules.  Stores no per-call state on the index.
         """
@@ -497,14 +465,12 @@ class ExactRBC(RBCBase):
         keep = np.ones((c, nr), dtype=bool)
         if use_psi_rule:
             # inequality (1): rho(q,r) >= gamma + psi_r  =>  discard
-            tol = slack * (np.abs(D_R) + psi[None, :]) if slack else 0.0
-            kept = D_R - psi[None, :] < ge[:, None] + tol
+            kept = D_R - psi[None, :] < ge[:, None]
             stats.pruned_by_psi = int(c * nr - np.count_nonzero(kept))
             keep &= kept
         if use_3gamma_rule:
             # inequality (2) via Lemma 1
-            tol = 4.0 * slack * np.abs(D_R) if slack else 0.0
-            kept = D_R <= 3.0 * gamma[:, None] + tol
+            kept = D_R <= 3.0 * gamma[:, None]
             stats.pruned_by_3gamma = int(np.count_nonzero(keep & ~kept))
             keep &= kept
 
@@ -518,7 +484,7 @@ class ExactRBC(RBCBase):
                 continue
             rows = np.flatnonzero(keep[:, j])
             if use_trim:
-                bound = (D_R[rows, j] + ge[rows]) * (1.0 + slack)
+                bound = D_R[rows, j] + ge[rows]
                 cut = np.searchsorted(ld, bound, side="right")
                 stats.trimmed_by_4gamma += int(rows.size * ld.size - cut.sum())
                 cuts[rows, j] = cut
@@ -564,13 +530,13 @@ class ExactRBC(RBCBase):
         One selection rule follows every block: gamma bounds the k-th NN
         distance (the k seed representatives are candidates within it), so
         a scanned candidate beyond it can never enter the top-k.  The bound
-        is widened by a relative slack so rounding admits extra survivors
-        rather than excluding neighbors; quantized scans (``qop``) widen it
-        per element by the code residual.  The seeds a scanned prefix holds
-        always survive: Gram-trick distances of near-coincident points
-        cancel, so their rounding error scales with the norms rather than
-        the distance and can exceed any relative slack, and a row must
-        keep its ``k`` seeds.  Returns the survivor pool ``(rows, dists,
+        is widened by a relative slack of 1e-9 so rounding admits extra
+        survivors rather than excluding neighbors; quantized scans
+        (``qop``) widen it per element by the code residual.  The seeds a
+        scanned prefix holds always survive: Gram-trick distances of
+        near-coincident points cancel, so their rounding error scales with
+        the norms rather than the distance and can exceed any relative
+        slack, and a row must keep its ``k`` seeds.  Returns the survivor pool ``(rows, dists,
         ids)``; ``top`` keeps only each row's ``top`` nearest (a node's
         top-k reply).  Stores no per-call state on the index.
         """
@@ -579,20 +545,13 @@ class ExactRBC(RBCBase):
         squared = self._squared(Qop)
         dim = metric.dim(self.rep_data)
         if engine:
-            if qop is not None:
-                Cp = qop.decoded
-            else:
-                Cp = self._prepared_cands(str(Qop.dtype))
+            Cp = self._prepared_cands() if qop is None else qop.decoded
             starts = self._packed.starts
             itemsize = float(Qop.dtype.itemsize)
         else:
             itemsize = 8.0
-        # float32 kernels get the wider slack (~1e-7 relative error each)
-        loose = engine and Qop.dtype == np.float32
         gamma = pruned.gamma
-        thr = (metric.to_squared(gamma) if squared else gamma) * (
-            1.0 + (1e-4 if loose else 1e-9)
-        )
+        thr = (metric.to_squared(gamma) if squared else gamma) * (1.0 + 1e-9)
         lists = self.lists
         live = (pruned.cuts > 0).any(axis=0)
         cols = np.flatnonzero(live) if reps is None else reps[live[reps]]
@@ -814,23 +773,16 @@ class ExactRBC(RBCBase):
             raise ValueError("eps must be non-negative")
         ctx = self._call_ctx(ctx, recorder=recorder)
         recorder = ctx.recorder
-        dtype = ctx.dtype_or_default
         Qb = Q if _is_batch(self.metric, Q) else self.metric._as_batch(Q)
         m = self.metric.length(Qb)
-        engine = self._engine_active(ctx)
-        fp32 = engine and dtype == "float32"
-        Qp = self.metric.prepare(Qb, dtype=dtype) if engine else None
+        Qop, D_R = self._stage1(Qb, ctx)
+        engine = isinstance(Qop, Prepared)
         if engine:
-            Cp = self._prepared_cands(str(Qp.data.dtype))
-            packed = self._packed
-            itemsize = float(Qp.data.dtype.itemsize)
-        D_R = self._stage1_distances(Qb, recorder, Qp=Qp)
+            Cp = self._prepared_cands()
+            starts = self._packed.starts
         dim = self.metric.dim(self.rep_data)
-        # float32 windows/thresholds are slack-widened; candidate hits are
-        # then verified with the exact float64 distance
-        slack = 1e-4 if fp32 else 0.0
 
-        keep = D_R <= (eps + self.radii[None, :]) * (1.0 + slack)
+        keep = D_R <= eps + self.radii[None, :]
         parts_d: list[list[np.ndarray]] = [[] for _ in range(m)]
         parts_i: list[list[np.ndarray]] = [[] for _ in range(m)]
         with recorder.phase("exact:range"):
@@ -840,9 +792,8 @@ class ExactRBC(RBCBase):
                 if lst.size == 0:
                     continue
                 rows = np.flatnonzero(keep[:, j])
-                tol = slack * (np.abs(D_R[rows, j]) + eps)
-                lsl = np.searchsorted(ld, D_R[rows, j] - eps - tol, side="left")
-                lsr = np.searchsorted(ld, D_R[rows, j] + eps + tol, side="right")
+                lsl = np.searchsorted(ld, D_R[rows, j] - eps, side="left")
+                lsr = np.searchsorted(ld, D_R[rows, j] + eps, side="right")
                 nonempty = lsr > lsl
                 rows, lsl, lsr = rows[nonempty], lsl[nonempty], lsr[nonempty]
                 if rows.size == 0:
@@ -852,40 +803,24 @@ class ExactRBC(RBCBase):
                 wlo, whi = int(lsl.min()), int(lsr.max())
                 window = lst[wlo:whi]
                 if engine:
-                    plo = int(packed.starts[j])
+                    plo = int(starts[j])
                     D = self.metric.pairwise_prepared(
-                        Qp.take(rows), Cp.slice(plo + wlo, plo + whi)
-                    )
-                    _record_dist_tile(
-                        recorder, self.metric, rows.size, window.size, dim,
-                        "exact:range", itemsize=itemsize,
+                        Qop.take(rows), Cp.slice(plo + wlo, plo + whi)
                     )
                 else:
                     D = self.metric.pairwise(
                         self.metric.take(Qb, rows),
                         self.metric.take(self.X, window),
                     )
-                    _record_dist_tile(
-                        recorder, self.metric, rows.size, window.size, dim,
-                        "exact:range",
-                    )
+                _record_dist_tile(
+                    recorder, self.metric, rows.size, window.size, dim,
+                    "exact:range",
+                )
                 cols = np.arange(wlo, whi)[None, :]
-                eps_scan = eps + slack * (1.0 + np.abs(D)) if fp32 else eps
-                hit = (cols >= lsl[:, None]) & (cols < lsr[:, None]) & (D <= eps_scan)
+                hit = (cols >= lsl[:, None]) & (cols < lsr[:, None]) & (D <= eps)
                 for t, i_row in enumerate(rows):
                     sel = np.flatnonzero(hit[t])
-                    if not sel.size:
-                        continue
-                    if fp32:
-                        # exact float64 verification of the float32 hits
-                        d = self.metric.pairwise(
-                            self.metric.take(Qb, [i_row]),
-                            self.metric.take(self.X, window[sel]),
-                        )[0]
-                        inside = d <= eps
-                        parts_d[i_row].append(d[inside])
-                        parts_i[i_row].append(window[sel][inside])
-                    else:
+                    if sel.size:
                         parts_d[i_row].append(D[t, sel])
                         parts_i[i_row].append(window[sel])
 

@@ -35,7 +35,7 @@ def knn_graph(
     ``method="rbc"`` builds an exact RBC and batch-queries it with the
     database itself; ``method="brute"`` is the O(n²) reference.  Both are
     exact; they return identical distances.  ``ctx`` carries the run's
-    execution state (executor, recorder, dtype) into both build and query;
+    execution state (executor, recorder, chunking) into both build and query;
     the legacy ``executor=`` kwarg remains as the usual adapter.
 
     Returns ``(dist, idx)`` of shape ``(n, k)``, rows ascending.
@@ -47,7 +47,7 @@ def knn_graph(
         d, i = bf_knn(X, X, metric, k=k + 1, ctx=call)
     elif method == "rbc":
         index = ExactRBC(metric=metric, seed=seed, executor=call.executor)
-        index.build(X, ctx=call.transport())
+        index.build(X, ctx=call)
         if index.n <= k:
             raise ValueError(f"need n > k, got n={index.n}, k={k}")
         d, i = index.query(X, k=k + 1, ctx=call)

@@ -68,12 +68,9 @@ class OneShotRBC(RBCBase):
 
         If ``n_reps``/``s`` are omitted they default to the Theorem-2
         setting ``n_r = s = c sqrt(n ln 1/delta)`` for the given expansion
-        rate ``c`` and failure probability ``delta``.  The build always
-        computes in float64 (stored list distances and radii must stay
-        exact bounds), so only ``ctx``'s transport fields — executor,
-        recorder, chunking — apply here.
+        rate ``c`` and failure probability ``delta``.
         """
-        ctx = self._call_ctx(ctx, recorder=recorder).transport()
+        ctx = self._call_ctx(ctx, recorder=recorder)
         n = self.metric.length(X)
         if n == 0:
             raise ValueError("database is empty")
@@ -157,23 +154,20 @@ class OneShotRBC(RBCBase):
         n_probes = min(n_probes, self.n_reps)
         ctx = self._call_ctx(ctx, recorder=recorder, executor=executor)
         recorder = ctx.recorder
-        dtype = ctx.dtype_or_default
         stats = SearchStats()
         engine = self._engine_active(ctx)
-        fp32 = engine and dtype == "float32"
 
         evals0 = self.metric.counter.n_evals
         # stage 1: nearest representative(s) by brute force (the engine
         # passes the cached prepared representative block, so nothing about
-        # R is recomputed across query batches; the prepared block's dtype
-        # drives the stage-1 compute dtype, exactly as before)
+        # R is recomputed across query batches)
         _, rep_local = bf_knn(
             Q,
             self.rep_data,
             self.metric,
             k=n_probes,
-            x_prepared=self._prepared_reps(dtype) if engine else None,
-            ctx=ctx.transport(),
+            x_prepared=self._prepared_reps() if engine else None,
+            ctx=ctx,
         )
         stats.stage1_evals = self.metric.counter.n_evals - evals0
         m = rep_local.shape[0]
@@ -191,10 +185,7 @@ class OneShotRBC(RBCBase):
         # Lists overlap under multi-probe, so a candidate can arrive through
         # several lists; carry k * n_probes merge slots so duplicates cannot
         # push a genuine neighbor past the merge window, then dedupe to k.
-        # The float32 path carries extra slack slots so rounding noise in
-        # the low-precision scan cannot evict a true neighbor before the
-        # float64 refinement re-ranks.
-        kk = k * n_probes + (max(8, k) if fp32 else 0)
+        kk = k * n_probes
         best_d = np.full((m, kk), np.inf)
         best_i = np.full((m, kk), EMPTY_IDX, dtype=np.int64)
         evals1 = self.metric.counter.n_evals
@@ -203,11 +194,10 @@ class OneShotRBC(RBCBase):
             # prepared operands: queries coerced once, candidate lists are
             # contiguous row slices of the pre-gathered candidate matrix,
             # and squared_ok metrics rank in the squared domain
-            Qp = self.metric.prepare(Qb, dtype=dtype)
-            Cp = self._prepared_cands(dtype)
+            Qp = self.metric.prepare(Qb)
+            Cp = self._prepared_cands()
             packed = self._packed
             squared = self.metric.squared_ok
-            itemsize = float(Qp.data.dtype.itemsize)
         else:
             squared = False
 
@@ -252,26 +242,17 @@ class OneShotRBC(RBCBase):
                         D = self.metric.pairwise_prepared(
                             Qp.take(rows), Cp.slice(lo, hi), squared=squared
                         )
-                        _record_dist_tile(
-                            recorder,
-                            self.metric,
-                            rows.size,
-                            cand.size,
-                            self.metric.dim(self.rep_data),
-                            "oneshot:stage2",
-                            itemsize=itemsize,
-                        )
                     else:
                         Qg = self.metric.take(Qb, rows)
                         D = self.metric.pairwise(Qg, self.metric.take(self.X, cand))
-                        _record_dist_tile(
-                            recorder,
-                            self.metric,
-                            rows.size,
-                            cand.size,
-                            self.metric.dim(self.rep_data),
-                            "oneshot:stage2",
-                        )
+                    _record_dist_tile(
+                        recorder,
+                        self.metric,
+                        rows.size,
+                        cand.size,
+                        self.metric.dim(self.rep_data),
+                        "oneshot:stage2",
+                    )
                     merge_group_topk(best_d, best_i, rows, D, cand)
                     stats.candidates_examined += int(D.size)
         stats.stage2_evals = self.metric.counter.n_evals - evals1
@@ -279,12 +260,7 @@ class OneShotRBC(RBCBase):
         if squared:
             best_d = self.metric.from_squared(best_d)
         if n_probes > 1:
-            best_d, best_i = dedupe_rows(best_d, best_i, kk if fp32 else k)
-        if fp32:
-            # exact float64 re-score of the float32-selected candidates
-            best_d, best_i = refine_topk(self.metric, Qb, self.X, best_i, k)
-        elif n_probes == 1:
-            best_d, best_i = best_d[:, :k], best_i[:, :k]
+            best_d, best_i = dedupe_rows(best_d, best_i, k)
         self.last_stats = stats
         return best_d, best_i
 

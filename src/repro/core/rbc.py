@@ -26,8 +26,8 @@ import numpy as np
 
 from ..index.protocol import Capabilities, Index
 from ..metrics import get_metric
-from ..metrics.base import Metric
-from ..metrics.engine import check_dtype, operand_cache
+from ..metrics.base import Metric, VectorMetric
+from ..metrics.engine import operand_cache
 from ..metrics.quantize import check_quantizer, supports_quantization
 from ..parallel.pool import Executor
 from ..runtime.context import ExecContext, resolve_ctx
@@ -81,20 +81,17 @@ class RBCBase(Index):
         executor spec forwarded to the brute-force calls.
     rep_scheme:
         ``"bernoulli"`` (paper) or ``"exact"`` representative sampling.
-    dtype:
-        compute dtype for the query-time distance kernels — ``"float64"``
-        (default, exact) or ``"float32"`` (half the GEMM traffic; answers
-        are float64-refined, see docs/performance.md).  Builds always run
-        in float64 so stored list distances/radii stay exact bounds.
     engine:
         enable the prepared-operand kernel engine (cached norms, packed
         candidate gathers).  On by default for vector databases; disable
-        to force the straightforward gather-per-call formulation.
+        to force the straightforward gather-per-call formulation.  Both
+        compute in float64, the one compute precision.
     quantizer:
-        quantized scan tier below the engine: ``None`` (off, default),
-        ``"int8"``/``"float16"``/``"pq"`` to force a code kind, or
-        ``"auto"`` to let the autotuner pick per workload shape.  Answer
-        ids stay identical to the uncompressed paths — quantized scans
+        the reduced-precision path, a quantized scan tier below the
+        engine: ``None`` (off, default), ``"int8"``/``"float16"``/``"pq"``
+        to force a code kind, or ``"auto"`` to let the autotuner pick per
+        workload shape.  Answer ids stay identical to the float64 paths —
+        quantized scans
         only *generate candidates*, which a float64 re-rank finalizes
         (see docs/performance.md).  Requires a metric with a GEMM-shaped
         prepared kernel (the Euclidean family, Mahalanobis, or cosine).
@@ -111,7 +108,6 @@ class RBCBase(Index):
         seed: int | np.random.Generator | None = 0,
         executor: str | Executor | None = None,
         rep_scheme: str = "bernoulli",
-        dtype: str = "float64",
         engine: bool = True,
         quantizer: str | None = None,
         quant_strategy: str = "auto",
@@ -124,7 +120,6 @@ class RBCBase(Index):
         )
         self.executor = executor
         self.rep_scheme = rep_scheme
-        self.dtype = check_dtype(dtype)
         self.engine = bool(engine)
         if quantizer is not None:
             if quantizer != "auto":
@@ -265,18 +260,17 @@ class RBCBase(Index):
 
     def warm(self, ctx: ExecContext | None = None) -> "RBCBase":
         """Pre-populate the per-version caches the query hot path fills
-        lazily (prepared representatives and candidate matrix for the
-        effective dtype), so a serving front-end pays the one-time
-        preparation cost before the first query arrives instead of inside
-        its latency budget.  Idempotent; invalidated like everything else
-        by the next build/insert/delete.  Subclasses extend this with
-        their own derived structures."""
+        lazily (prepared representatives and candidate matrix), so a
+        serving front-end pays the one-time preparation cost before the
+        first query arrives instead of inside its latency budget.
+        Idempotent; invalidated like everything else by the next
+        build/insert/delete.  Subclasses extend this with their own
+        derived structures."""
         self._require_built()
         ctx = self._base_ctx() if ctx is None else ctx.overriding(self._base_ctx())
         if self._engine_active(ctx):
-            dtype = ctx.dtype_or_default
-            self._prepared_reps(dtype)
-            self._prepared_cands(dtype)
+            self._prepared_reps()
+            self._prepared_cands()
             if self.quantizer is not None:
                 # resolve the tuned kernel plan and build the code operand
                 # now, so serving pays for autotuning + quantization before
@@ -289,11 +283,7 @@ class RBCBase(Index):
     def _base_ctx(self) -> ExecContext:
         """The index's own configuration as an execution context: the
         fallback every per-call context merges over."""
-        return ExecContext(
-            executor=self.executor,
-            dtype=self.dtype,
-            engine=self.engine,
-        )
+        return ExecContext(executor=self.executor)
 
     def _call_ctx(
         self,
@@ -313,37 +303,34 @@ class RBCBase(Index):
         return call.overriding(self._base_ctx())
 
     def _engine_active(self, ctx: ExecContext | None = None) -> bool:
-        """Prepared-operand kernels apply to vector databases only, and the
-        process backend owns its operand copies (no sharing to prepare).
-        The rule itself lives on :meth:`ExecContext.engine_active`."""
+        """Whether the prepared-operand kernels run: the index's ``engine``
+        switch is on, the metric is a vector metric over an ndarray
+        database, and the run is not on the process backend (workers own
+        their operand copies, so there is nothing to share)."""
         ctx = self._base_ctx() if ctx is None else ctx
-        return ctx.engine_active(self.metric, self.X)
+        return (
+            self.engine
+            and isinstance(self.metric, VectorMetric)
+            and isinstance(self.X, np.ndarray)
+            and not ctx.uses_processes
+        )
 
-    def _prepared_reps(self, dtype: str | None = None):
-        """Prepared representative block (cached until the next update).
-
-        ``dtype`` defaults to the index's own; a per-call override (via
-        :class:`ExecContext`) caches under its own key, so alternating
-        dtypes never thrash a single slot.
-        """
-        dtype = self.dtype if dtype is None else dtype
-        key = ("reps", dtype)
-        ent = self._prep.get(key)
+    def _prepared_reps(self):
+        """Prepared representative block (cached until the next update)."""
+        ent = self._prep.get("reps")
         if ent is None:
             ent = operand_cache.get(
-                self.metric, self.rep_data, dtype=dtype, version=self._version
+                self.metric, self.rep_data, version=self._version
             )
-            self._prep[key] = ent
+            self._prep["reps"] = ent
         return ent
 
-    def _prepared_cands(self, dtype: str | None = None):
+    def _prepared_cands(self):
         """Prepared pre-gathered candidate matrix, aligned with the packed
         list storage: backing row ``t`` holds the database point
         ``packed.ids[t]``, so every stage-2 list prefix is a contiguous
         slice of compute-ready rows (slack rows are zero-filled)."""
-        dtype = self.dtype if dtype is None else dtype
-        key = ("cands", dtype)
-        ent = self._prep.get(key)
+        ent = self._prep.get("cands")
         if ent is None:
             packed = self._packed
             # clip slack/stale ids into range: those rows are never read
@@ -353,12 +340,12 @@ class RBCBase(Index):
                 safe_ids[hi : packed.starts[j + 1]] = 0
             gathered = self.X[safe_ids]
             ent = operand_cache.get(
-                self.metric, gathered, dtype=dtype, version=self._version
+                self.metric, gathered, version=self._version
             )
             # keep the gathered matrix alive alongside its prepared form
             # (the cache holds only a weak reference to it)
-            self._prep[key] = ent
-            self._prep[("cands_src", dtype)] = gathered
+            self._prep["cands"] = ent
+            self._prep["cands_src"] = gathered
         return ent
 
     # ----------------------------------------------------- quantized tier
@@ -415,8 +402,8 @@ class RBCBase(Index):
         key = ("quant", kind)
         ent = self._prep.get(key)
         if ent is None:
-            self._prepared_cands("float64")  # parent + gathered matrix
-            gathered = self._prep[("cands_src", "float64")]
+            self._prepared_cands()  # parent + gathered matrix
+            gathered = self._prep["cands_src"]
             packed = self._packed
             safe_ids = np.clip(packed.ids, 0, self.n - 1).astype(np.int64)
             valid = np.zeros(safe_ids.size, dtype=bool)
@@ -506,7 +493,9 @@ class RBCBase(Index):
                 self.X.shape[1] if self.X.ndim == 2 else 1
             )
         for key, val in self._prep.items():
-            if isinstance(key, tuple) and key[0] in ("cands_src", "quant"):
+            if key == "cands_src" or (
+                isinstance(key, tuple) and key[0] == "quant"
+            ):
                 total += val.nbytes
         return total
 

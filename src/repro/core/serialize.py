@@ -78,7 +78,6 @@ def save_index(index, path) -> None:
         list_ids=list_ids,
         list_dists=list_dists,
         s=getattr(index, "s", -1),
-        dtype=index.dtype,
     )
 
 
@@ -93,9 +92,9 @@ def load_index(path):
             raise ValueError(f"file written by a newer format (v{version})")
         kind = str(z["kind"])
         cls = {"exact": ExactRBC, "oneshot": OneShotRBC}[kind]
-        # dtype knob added after v1 files without it; default is exact
-        dtype = str(z["dtype"]) if "dtype" in z.files else "float64"
-        index = cls(metric=str(z["metric"]), dtype=dtype)
+        # files from earlier releases may carry a compute ``dtype`` field;
+        # it is ignored, since float64 is the only compute precision
+        index = cls(metric=str(z["metric"]))
         offsets = z["list_offsets"]
         list_ids = z["list_ids"]
         list_dists = z["list_dists"]

@@ -142,7 +142,7 @@ class DistributedRBC:
         into the central :class:`ExactRBC` build.
         """
         self.index = ExactRBC(metric=self.metric, seed=self.seed)
-        self.index.build(X, n_reps=n_reps, c=c, ctx=resolve_ctx(ctx).transport())
+        self.index.build(X, n_reps=n_reps, c=c, ctx=ctx)
         sizes = [lst.size for lst in self.index.lists]
         self.node_reps = partition_by_representatives(
             sizes, self.cluster.n_nodes
@@ -203,7 +203,7 @@ class DistributedRBC:
         coord_rec = TraceRecorder()
         with tracer.span_under(query_span.context, "dist:coord", n_reps=nr), \
                 run_rec.phase("coord:stage1"), coord_rec.phase("coord:stage1"):
-            Qop, D_R = index._stage1_float64(Qb)
+            Qop, D_R = index._stage1(Qb)
             _record_dist_tile(coord_rec, metric, m, nr, dim, "coord:stage1")
             if run_rec.enabled:
                 _record_dist_tile(run_rec, metric, m, nr, dim, "coord:stage1")

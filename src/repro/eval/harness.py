@@ -56,7 +56,7 @@ def traced_query(
     The index's metric counter and the operand cache are snapshotted
     around the call, so ``report.evals`` (and the cache window) is exactly
     this batch's work.  ``ctx`` carries execution overrides (executor,
-    dtype, chunking) into the query; the harness supplies the recorder.
+    chunking) into the query; the harness supplies the recorder.
     With ``trace_ops=False`` no machine-model trace is collected (``sims``
     is empty) but per-phase wall time and the counter windows still are —
     the near-zero-overhead mode.

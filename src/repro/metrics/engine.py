@@ -26,9 +26,9 @@ This module removes all of that:
   preparations (norm computations) ran, how many calls were served from
   cache, and how many entries were invalidated.  The "database norms are
   computed exactly once per build" property is asserted against it.
-* :func:`refine_topk` — the float64 refinement step of the ``float32``
-  compute path: candidate ids selected in float32 are re-scored with exact
-  float64 distances and re-ranked, so the low-precision GEMM only has to
+* :func:`refine_topk` — the float64 re-rank of the quantized tier:
+  candidate ids generated from compressed codes are re-scored with exact
+  float64 distances and re-ranked, so the low-precision scan only has to
   get the *candidate set* right, not the final ordering.
 """
 
@@ -51,8 +51,9 @@ __all__ = [
     "COMPUTE_DTYPES",
 ]
 
-#: dtypes the compute path accepts; float64 is the exact default, float32
-#: halves GEMM traffic (see docs/performance.md for the safety argument)
+#: dtypes an operand can be prepared in: float64 is the one compute
+#: precision; float32 is the quantized tier's query-block precision,
+#: whose candidates are re-ranked in float64
 COMPUTE_DTYPES = ("float64", "float32")
 
 
@@ -214,7 +215,7 @@ class OperandCache:
         quantized variants.  Caller holds the lock.
 
         A version-stamp miss means the source array changed; the float64
-        parent and everything *derived* from it (float32 coercions, int8 /
+        parent and everything *derived* from it (other dtypes, int8 /
         float16 / PQ codes) are stale together, so the whole family goes
         at once — a quantized variant can never outlive its parent.
         """
@@ -347,17 +348,22 @@ def refine_topk(
     *,
     ids_are_global: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Re-score float32-selected candidates in float64 and re-rank to ``k``.
+    """Re-score low-precision candidates in float64 and re-rank to ``k``.
 
-    ``idx`` is an ``(m, k')`` candidate-id block (``k' >= k``) selected by
-    the low-precision kernel; each row's candidates are re-scored with the
-    exact float64 :func:`rescore_pairs` and the ``k`` nearest kept.
-    Padding slots (id ``-1``) are ignored.  Returns ``(dist, idx)`` of
-    shape ``(m, k)``, rows sorted ascending, padded with ``inf``/``-1``.
+    ``idx`` is an ``(m, k')`` candidate-id block selected by a
+    low-precision scan (the quantized tier); each row's candidates are
+    re-scored with the exact float64 :func:`rescore_pairs` and the ``k``
+    nearest kept.  Padding slots (id ``-1``) are ignored.  Returns
+    ``(dist, idx)`` of shape ``(m, k)``, rows sorted ascending, padded with
+    ``inf``/``-1`` — also when ``k' < k``.
     """
     d = rescore_pairs(metric, Qb, X, idx)
     order = np.argsort(d, axis=1, kind="stable")[:, :k]
     out_d = np.take_along_axis(d, order, axis=1)
     out_i = np.take_along_axis(idx, order, axis=1).astype(np.int64, copy=False)
     out_i = np.where(np.isfinite(out_d), out_i, -1)
+    pad = k - out_d.shape[1]
+    if pad > 0:  # fewer candidate columns than k
+        out_d = np.pad(out_d, ((0, 0), (0, pad)), constant_values=np.inf)
+        out_i = np.pad(out_i, ((0, 0), (0, pad)), constant_values=-1)
     return out_d, out_i

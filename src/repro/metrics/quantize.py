@@ -471,7 +471,7 @@ def quant_search(
 
     The returned ``(dist, idx)`` are id-identical to an uncompressed
     float64 brute-force top-k over the live rows of ``qop`` (ties broken
-    by candidate order, exactly like the float32 engine path).  ``info``
+    by candidate order).  ``info``
     additionally reports ``recall_before_rerank`` — the fraction of final
     ids already present in the approximate top-k, i.e. what a
     re-rank-free quantized answer would have scored.

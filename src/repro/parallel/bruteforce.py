@@ -28,7 +28,7 @@ import numpy as np
 
 from ..metrics import get_metric
 from ..metrics.base import Metric, VectorMetric
-from ..metrics.engine import Prepared, check_dtype, prepare_operands, refine_topk
+from ..metrics.engine import Prepared, prepare_operands
 from ..obs.tracing import NULL_TRACER, SpanContext, Tracer
 from ..runtime.context import ExecContext, resolve_ctx
 from ..simulator.trace import NULL_RECORDER, Op, TraceRecorder
@@ -75,8 +75,9 @@ def _record_dist_tile(
     if not recorder.enabled or rows <= 0 or cols <= 0:
         return
     fpe = metric.flops_per_eval(dim)
-    # operand traffic scales with the compute dtype: float32 tiles move
-    # half the bytes of float64 ones (the machine models care)
+    # operand traffic scales with the operand itemsize: the quantized
+    # tier's float32 decode-cache tiles move half the bytes of float64 ones
+    # (the machine models care)
     slab_bytes = itemsize * cols * dim  # database slab, streamed once per tile
     done = 0
     while done < rows:
@@ -101,8 +102,8 @@ def _record_select(
     itemsize: float = 8.0,
 ) -> None:
     # the selection streams the (rows, cols) distance block once; its
-    # operand traffic scales with the compute dtype, exactly like the
-    # distance tiles that produced it
+    # operand traffic scales with the itemsize, exactly like the distance
+    # tiles that produced it
     if not recorder.enabled or rows <= 0 or cols <= 0:
         return
     recorder.record(
@@ -122,7 +123,6 @@ def _merge_candidates(
     k: int,
     recorder: TraceRecorder,
     tag: str,
-    itemsize: float = 8.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Tree-merge per-tile top-k candidate blocks (recorded)."""
     if len(candidates) == 1:
@@ -131,13 +131,13 @@ def _merge_candidates(
 
         def merge(a, b):
             if recorder.enabled:
-                # each merge reads two (m, k) candidate blocks: distances
-                # at the compute itemsize plus int64 ids
+                # each merge reads two (m, k) candidate blocks: float64
+                # distances plus int64 ids
                 recorder.record(
                     Op(
                         kind="reduce",
                         flops=4.0 * m * k,
-                        bytes=2.0 * m * k * (itemsize + 8.0),
+                        bytes=2.0 * m * k * 16.0,
                         vectorizable=True,
                         tag=f"{tag}:merge",
                     )
@@ -191,18 +191,15 @@ def _knn_one_chunk_prepared(
     """
     n = len(Xp)
     m = len(Qp)
-    itemsize = float(Qp.data.dtype.itemsize)
     candidates = []
     with recorder.phase(f"{tag}:dist+select"):
         for lo, hi in row_chunks(n, tile_cols):
             Xt = Xp.slice(lo, hi) if (lo, hi) != (0, n) else Xp
             D = metric.pairwise_prepared(Qp, Xt, squared=squared)
-            _record_dist_tile(
-                recorder, metric, m, hi - lo, dim, tag, itemsize=itemsize
-            )
+            _record_dist_tile(recorder, metric, m, hi - lo, dim, tag)
             candidates.append(topk_of_block(D, k, col_offset=lo))
-            _record_select(recorder, m, hi - lo, tag, itemsize=itemsize)
-    return _merge_candidates(candidates, m, k, recorder, tag, itemsize=itemsize)
+            _record_select(recorder, m, hi - lo, tag)
+    return _merge_candidates(candidates, m, k, recorder, tag)
 
 
 def bf_knn(
@@ -216,9 +213,7 @@ def bf_knn(
     tile_cols: int | None = None,
     row_chunk: int | None = None,
     recorder: TraceRecorder | None = None,
-    dtype: str | None = None,
     x_prepared=None,
-    refine: bool = True,
     quantizer: str | None = None,
     ctx: ExecContext | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -251,28 +246,19 @@ def bf_knn(
         database columns per tile (auto-sized to ~8 MB of operands if None).
     recorder:
         trace recorder for the machine models.
-    dtype:
-        compute dtype for vector metrics — ``"float64"`` (default, exact)
-        or ``"float32"`` (half the GEMM traffic; with ``refine=True`` the
-        float32-selected candidates are re-scored in float64, so only the
-        candidate *set* rides on low precision).
     x_prepared:
         optional :class:`~repro.metrics.engine.Prepared` form of ``X``
         (vector metrics only, incompatible with ``ids``).  Index structures
         pass their cached operands here so repeated calls against a fixed
-        database recompute nothing; its dtype overrides ``dtype``.
-    refine:
-        float64-refine the result of a ``float32`` search (ignored for
-        float64).
+        database recompute nothing.
     quantizer:
-        run the scan on compressed codes — ``"int8"``, ``"float16"`` or
-        ``"pq"`` — with a certified float64 re-rank, so the answer ids
-        match the uncompressed search exactly (see
-        :mod:`repro.metrics.quantize`).  ``dtype="int8"`` / ``"float16"``
-        are accepted as sugar for the matching quantizer.  Vector metrics
-        with a ``gram``/``angular`` kernel only; in-process backends only
+        the reduced-precision path: run the scan on compressed codes —
+        ``"int8"``, ``"float16"`` or ``"pq"`` — with a certified float64
+        re-rank, so the answer ids match the float64 search exactly (see
+        :mod:`repro.metrics.quantize`).  Vector metrics with a
+        ``gram``/``angular`` kernel only; in-process backends only
         (``executor="processes"`` raises — workers own plain float
-        copies).
+        copies).  Without it every distance is computed in float64.
     ctx:
         optional :class:`~repro.runtime.context.ExecContext` carrying the
         same execution state as the kwargs above in one object.  Set
@@ -285,27 +271,19 @@ def bf_knn(
         ``(m, k)`` arrays, rows sorted ascending.  When fewer than ``k``
         points are available, trailing slots hold ``inf`` / ``-1``.
     """
-    if dtype in ("int8", "float16") and quantizer is None:
-        # dtype sugar: a code dtype means "scan quantized codes" (the
-        # compute dtype of the certified path is fixed: float32 scan,
-        # float64 re-rank)
-        quantizer, dtype = dtype, None
     ctx = resolve_ctx(
         ctx,
         executor=executor,
         recorder=recorder,
-        dtype=dtype,
         row_chunk=row_chunk,
         tile_cols=tile_cols,
     )
     recorder = ctx.recorder
-    dtype = ctx.dtype_or_default
     row_chunk = ctx.row_chunk if ctx.row_chunk is not None else _DEFAULT_ROW_CHUNK
     metric_spec = metric
     metric = get_metric(metric)
     if k < 1:
         raise ValueError("k must be >= 1")
-    check_dtype(dtype)
     if x_prepared is not None and ids is not None:
         raise ValueError(
             "x_prepared and ids are incompatible: pass a prepared operand "
@@ -362,10 +340,6 @@ def bf_knn(
         with ctx.span("bf:knn", backend="quant", m=m, n=n, k=k,
                       quantizer=quantizer):
             dist, idx = quant_search(metric, Qb, X, qop, k)[:2]
-        if dist.shape[1] < k:  # fewer live rows than k: pad like the
-            pad = k - dist.shape[1]  # uncompressed path does
-            dist = np.pad(dist, ((0, 0), (0, pad)), constant_values=np.inf)
-            idx = np.pad(idx, ((0, 0), (0, pad)), constant_values=EMPTY_IDX)
         if ids is not None:
             mask = idx >= 0
             idx[mask] = ids[idx[mask]]
@@ -381,11 +355,10 @@ def bf_knn(
                 "executor='processes' cannot record traces (the ops happen "
                 "in worker processes); use 'threads' or 'serial' when tracing"
             )
-        if dtype != "float64" or x_prepared is not None:
+        if x_prepared is not None:
             raise ValueError(
-                "executor='processes' supports neither float32 compute nor "
-                "prepared operands (workers own their copies); use "
-                "'threads' or 'serial'"
+                "executor='processes' does not take prepared operands "
+                "(workers own their copies); use 'threads' or 'serial'"
             )
         pool = ctx.executor if isinstance(ctx.executor, ProcessExecutor) else None
         with ctx.span("bf:knn", backend="processes", m=m, n=n, k=k):
@@ -429,28 +402,25 @@ def bf_knn(
     if isinstance(metric, VectorMetric):
         # engine path: prepared operands (hoisted coercion + norms) and,
         # for squared_ok metrics, squared-domain selection.  Bit-identical
-        # to the plain path for the default float64 dtype.
+        # to the plain path.
         if x_prepared is not None:
             Xp = x_prepared
-            dtype = str(Xp.dtype)
         elif ids is None and isinstance(X, np.ndarray):
             # fixed-database case: route through the process-wide cache so
             # repeated calls prepare X exactly once
-            Xp = prepare_operands(metric, X, dtype=dtype)
+            Xp = prepare_operands(metric, X)
         else:
             # transient operand (gathered subset / duck array): prepare
             # directly, don't pollute the cache with one-shot entries
-            Xp = metric.prepare(X, dtype=dtype)
-        Qp_full = metric.prepare(Qb, dtype=dtype)
+            Xp = metric.prepare(X)
+        Qp_full = metric.prepare(Qb)
         squared = metric.squared_ok
-        fp32 = dtype == "float32"
-        kk = min(n, max(2 * k, k + 8)) if (fp32 and refine) else k
 
         def task(chunk):
             lo, hi = chunk
             Qp = Qp_full.slice(lo, hi) if (lo, hi) != (0, m) else Qp_full
             return _knn_one_chunk_prepared(
-                metric, Qp, Xp, kk, tile_cols, recorder, dim, "bf", squared
+                metric, Qp, Xp, k, tile_cols, recorder, dim, "bf", squared
             )
 
     else:
@@ -464,17 +434,11 @@ def bf_knn(
     # own row slice in place, so the tail-end concatenate (a full extra
     # copy of the result, allocated per call) disappears from the thread
     # and serial backends
-    width = kk if isinstance(metric, VectorMetric) else k
-    out_dtype = (
-        np.float32
-        if isinstance(metric, VectorMetric) and dtype == "float32"
-        else np.float64
-    )  # chunks land in the compute dtype; refinement re-ranks in float64
-    dist = np.full((m, width), np.inf, dtype=out_dtype)
-    idx = np.full((m, width), EMPTY_IDX, dtype=np.int64)
+    dist = np.full((m, k), np.inf)
+    idx = np.full((m, k), EMPTY_IDX, dtype=np.int64)
 
     tracer = ctx.tracer
-    with tracer.span("bf:knn", m=m, n=n, k=k, dtype=dtype) as bf_span, \
+    with tracer.span("bf:knn", m=m, n=n, k=k) as bf_span, \
             ctx.executor_scope() as exec_:
         if ctx.row_chunk is None and not isinstance(exec_, SerialExecutor):
             # no explicit chunking: let the scheduler size chunks to the
@@ -507,11 +471,8 @@ def bf_knn(
         else:
             exec_.map(run_into, chunks)
 
-    if isinstance(metric, VectorMetric):
-        if squared:
-            dist = metric.from_squared(dist)
-        if fp32 and refine:
-            dist, idx = refine_topk(metric, Qb, X, idx, k)
+    if isinstance(metric, VectorMetric) and squared:
+        dist = metric.from_squared(dist)
     if ids is not None:
         mask = idx >= 0
         idx[mask] = ids[idx[mask]]
@@ -544,31 +505,22 @@ def bf_range(
     ids: np.ndarray | None = None,
     tile_cols: int | None = None,
     recorder: TraceRecorder | None = None,
-    dtype: str | None = None,
     ctx: ExecContext | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """ε-range search: all database points within distance ``eps`` of each
     query.  Returns, per query, ``(dist, idx)`` sorted by distance.
 
-    With ``dtype="float32"`` (vector metrics) the scan runs in float32 with
-    a slack-widened threshold and every candidate hit is verified with the
-    exact float64 distance, so the reported set and values match the
-    float64 search up to genuinely borderline points within float32 noise
-    of ``eps``.
-
-    An :class:`~repro.runtime.context.ExecContext` can carry the recorder,
-    dtype and tile sizing instead of the individual kwargs (set ``ctx``
-    fields win, kwargs fill the rest).  The scan itself is a single pass,
-    so the context's executor is not consulted here.
+    An :class:`~repro.runtime.context.ExecContext` can carry the recorder
+    and tile sizing instead of the individual kwargs (set ``ctx`` fields
+    win, kwargs fill the rest).  The scan itself is a single pass, so the
+    context's executor is not consulted here.
     """
-    ctx = resolve_ctx(ctx, recorder=recorder, dtype=dtype, tile_cols=tile_cols)
+    ctx = resolve_ctx(ctx, recorder=recorder, tile_cols=tile_cols)
     recorder = ctx.recorder
-    dtype = ctx.dtype_or_default
     tile_cols = ctx.tile_cols
     metric = get_metric(metric)
     if eps < 0:
         raise ValueError("eps must be non-negative")
-    check_dtype(dtype)
     if ids is not None:
         ids = np.asarray(ids, dtype=np.int64)
         X = metric.take(X, ids)
@@ -581,17 +533,10 @@ def bf_range(
     engine = isinstance(metric, VectorMetric)
     if engine:
         if ids is None and isinstance(X, np.ndarray):
-            Xp = prepare_operands(metric, X, dtype=dtype)
+            Xp = prepare_operands(metric, X)
         else:
-            Xp = metric.prepare(X, dtype=dtype)
-        Qp = metric.prepare(Qb, dtype=dtype)
-        itemsize = float(Qp.data.dtype.itemsize)
-        fp32 = dtype == "float32"
-        # float32 scan keeps everything within relative slack of eps; the
-        # exact float64 re-check below restores the true boundary
-        eps_scan = eps * (1.0 + 1e-5) + 1e-6 if fp32 else eps
-    else:
-        fp32 = False
+            Xp = metric.prepare(X)
+        Qp = metric.prepare(Qb)
 
     hits_d: list[list[np.ndarray]] = [[] for _ in range(m)]
     hits_i: list[list[np.ndarray]] = [[] for _ in range(m)]
@@ -600,31 +545,15 @@ def bf_range(
             if engine:
                 Xt = Xp.slice(lo, hi) if (lo, hi) != (0, n) else Xp
                 D = metric.pairwise_prepared(Qp, Xt)
-                _record_dist_tile(
-                    recorder, metric, m, hi - lo, dim, "bf-range",
-                    itemsize=itemsize,
-                )
-                rows, cols = np.nonzero(D <= eps_scan)
             else:
                 Xt = metric.take(X, np.arange(lo, hi)) if (lo, hi) != (0, n) else X
                 D = metric.pairwise(Qb, Xt)
-                _record_dist_tile(recorder, metric, m, hi - lo, dim, "bf-range")
-                rows, cols = np.nonzero(D <= eps)
+            _record_dist_tile(recorder, metric, m, hi - lo, dim, "bf-range")
+            rows, cols = np.nonzero(D <= eps)
             for r in np.unique(rows):
                 sel = cols[rows == r]
-                if fp32:
-                    # exact float64 verification of the float32 candidates
-                    # (against the original rows — prepared data may be
-                    # transformed, e.g. Mahalanobis)
-                    d = metric.pairwise(
-                        metric.take(Qb, [r]), metric.take(X, sel + lo)
-                    )[0]
-                    keep = d <= eps
-                    hits_d[r].append(d[keep])
-                    hits_i[r].append(sel[keep] + lo)
-                else:
-                    hits_d[r].append(D[r, sel])
-                    hits_i[r].append(sel + lo)
+                hits_d[r].append(D[r, sel])
+                hits_i[r].append(sel + lo)
 
     out = []
     for r in range(m):
@@ -796,7 +725,7 @@ def _proc_chunk_knn_resident(args) -> tuple[int, np.ndarray, np.ndarray]:
     with wtracer.span("bf:chunk", lo=lo, hi=hi, resident=True):
         Xp = _attach_prepared(handles)
         Q = qh.open()
-        Qp = metric.prepare(Q[lo:hi], dtype=str(Xp.dtype))
+        Qp = metric.prepare(Q[lo:hi])
         squared = metric.squared_ok
         dist, idx = _knn_one_chunk_prepared(
             metric, Qp, Xp, k, tile_cols, NULL_RECORDER,

@@ -1,7 +1,7 @@
 """Unified execution runtime: one context object per search run.
 
 :class:`ExecContext` bundles the cross-cutting execution state — scoped
-executor, trace recorder, engine/dtype policy, chunking policy — that the
+executor, trace recorder, span tracer, chunking policy — that the
 brute-force primitive, both RBC searches, every baseline, and the eval
 harness all share; :class:`RunReport` is the per-run observability record
 a context-driven run emits.  See :mod:`repro.runtime.context` for the

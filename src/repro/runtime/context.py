@@ -3,8 +3,8 @@
 The paper's argument is that RBC search is *one* parallel primitive —
 ``BF(Q, X[L])`` — reused everywhere (§3).  The cross-cutting execution
 state of that primitive (which executor maps the tiles, which recorder
-collects the operation trace, what compute dtype/engine policy the kernels
-use, how work is chunked) used to be hand-threaded as ad-hoc kwargs
+collects the operation trace, how work is chunked) used to be
+hand-threaded as ad-hoc kwargs
 through every layer, with the executor-ownership dance and the
 "process pool degrades BLAS-bound stages to inline" decision copied
 between modules.  :class:`ExecContext` bundles all of it in one object:
@@ -15,14 +15,18 @@ between modules.  :class:`ExecContext` bundles all of it in one object:
 * **recorder** — the :class:`~repro.simulator.trace.TraceRecorder` the
   run records into (:class:`TimingRecorder` additionally collects
   per-phase wall time);
-* **engine/dtype policy** — compute dtype, the prepared-operand engine
-  switch, and the rule that the process backend disables operand sharing
-  (workers own their copies) and runs GIL-releasing batched stages inline;
+* **process-backend rule** — :attr:`ExecContext.uses_processes`: the
+  process pool cannot share prepared operands (workers own their copies)
+  and GIL-releasing batched stages run inline under it;
 * **chunking policy** — ``row_chunk`` / ``tile_cols`` overrides for the
   blocked kernels;
 * **observation windows** — :meth:`ExecContext.observe` snapshots the
   distance counter and the operand-cache counters around a block, the raw
   material of a :class:`~repro.runtime.report.RunReport`.
+
+The context carries execution state only.  Numerics are not a per-call
+choice: every kernel computes in float64, and the one reduced-precision
+path is an index's quantized tier (``quantizer=``).
 
 Every field defaults to "unset" (``None`` / :data:`NULL_RECORDER`), so a
 context can be *merged*: explicitly-set fields win, unset fields fall back
@@ -39,10 +43,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from ..metrics.base import VectorMetric
-from ..metrics.engine import CacheCounter, check_dtype, operand_cache
+from ..metrics.engine import CacheCounter, operand_cache
 from ..obs.tracing import NULL_TRACER, Tracer
 from ..simulator.trace import NULL_RECORDER, TraceRecorder
 
@@ -139,12 +140,6 @@ class ExecContext:
     tracer:
         span tracer (:mod:`repro.obs`); :data:`~repro.obs.tracing.
         NULL_TRACER` disables span collection at near-zero cost.
-    dtype:
-        compute dtype for vector-metric kernels (``None`` inherits;
-        effective default ``"float64"``).
-    engine:
-        prepared-operand kernel engine switch (``None`` inherits;
-        effective default on).
     row_chunk / tile_cols:
         chunking policy for the blocked brute-force kernels (``None``
         auto-sizes).
@@ -153,8 +148,6 @@ class ExecContext:
     executor: str | Executor | None = None
     n_workers: int | None = None
     recorder: TraceRecorder = NULL_RECORDER
-    dtype: str | None = None
-    engine: bool | None = None
     row_chunk: int | None = None
     tile_cols: int | None = None
     tracer: Tracer = NULL_TRACER
@@ -164,8 +157,6 @@ class ExecContext:
             self.recorder = NULL_RECORDER
         if self.tracer is None:
             self.tracer = NULL_TRACER
-        if self.dtype is not None:
-            check_dtype(self.dtype)
 
     # -------------------------------------------------------------- merging
     def overriding(self, base: "ExecContext") -> "ExecContext":
@@ -180,8 +171,6 @@ class ExecContext:
                 if self.recorder is not NULL_RECORDER
                 else base.recorder
             ),
-            dtype=self.dtype if self.dtype is not None else base.dtype,
-            engine=self.engine if self.engine is not None else base.engine,
             row_chunk=(
                 self.row_chunk if self.row_chunk is not None else base.row_chunk
             ),
@@ -191,20 +180,6 @@ class ExecContext:
             tracer=(
                 self.tracer if self.tracer is not NULL_TRACER else base.tracer
             ),
-        )
-
-    def transport(self) -> "ExecContext":
-        """The execution fields only — executor, recorder, tracer,
-        chunking — without the dtype/engine policy.  Sub-calls with their
-        own numeric policy (index builds always run float64, an inner index
-        has its own dtype knob) travel on this."""
-        return ExecContext(
-            executor=self.executor,
-            n_workers=self.n_workers,
-            recorder=self.recorder,
-            row_chunk=self.row_chunk,
-            tile_cols=self.tile_cols,
-            tracer=self.tracer,
         )
 
     def with_recorder(self, recorder: TraceRecorder) -> "ExecContext":
@@ -249,27 +224,6 @@ class ExecContext:
             spec = "serial"
         return executor_scope(spec, self.n_workers)
 
-    # -------------------------------------------------------- engine policy
-    @property
-    def dtype_or_default(self) -> str:
-        return self.dtype if self.dtype is not None else "float64"
-
-    @property
-    def engine_or_default(self) -> bool:
-        return True if self.engine is None else bool(self.engine)
-
-    def engine_active(self, metric, X) -> bool:
-        """Whether the prepared-operand engine applies to this run: vector
-        metrics over ndarray databases only, and never under the process
-        backend (no operand sharing across the process boundary)."""
-        if self.uses_processes:
-            return False
-        return (
-            self.engine_or_default
-            and isinstance(metric, VectorMetric)
-            and isinstance(X, np.ndarray)
-        )
-
     # ----------------------------------------------------------- observation
     @contextmanager
     def observe(self, metric):
@@ -304,8 +258,6 @@ def resolve_ctx(
     executor: str | Executor | None = None,
     n_workers: int | None = None,
     recorder: TraceRecorder | None = None,
-    dtype: str | None = None,
-    engine: bool | None = None,
     row_chunk: int | None = None,
     tile_cols: int | None = None,
     tracer: Tracer | None = None,
@@ -321,8 +273,6 @@ def resolve_ctx(
         executor=executor,
         n_workers=n_workers,
         recorder=recorder if recorder is not None else NULL_RECORDER,
-        dtype=dtype,
-        engine=engine,
         row_chunk=row_chunk,
         tile_cols=tile_cols,
         tracer=tracer if tracer is not None else NULL_TRACER,

@@ -74,7 +74,7 @@ class StreamingSearcher:
         per-query dispatch baseline.
     ctx:
         execution context for the dispatched queries (executor backend,
-        dtype, ...).  String executor specs resolve to registry-resident
+        tracer, ...).  String executor specs resolve to registry-resident
         pools, so workers persist across micro-batches.
     rescore:
         re-score returned candidates with the batching-invariant paired

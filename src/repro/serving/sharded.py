@@ -289,7 +289,7 @@ class ShardedStreamingSearcher(StreamingSearcher):
         tracer = self.ctx.tracer
 
         # ---- coordinator stage 1 and the exact search's pruning
-        Qop, D_R = index._stage1_float64(Qb)
+        Qop, D_R = index._stage1(Qb)
         pruned = index._prune(D_R, k)
         counts = self.rule_counts
         for key, val in pruned.stats.rule_counts().items():

@@ -1,11 +1,9 @@
-"""Kernel engine: prepared operands, caches, dtype paths, paired kernels."""
+"""Kernel engine: prepared operands, caches, engine on/off, paired kernels."""
 
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core import ExactRBC, OneShotRBC
 from repro.metrics import (
@@ -257,70 +255,25 @@ def test_exact_engine_ablation_flags_still_exact(rng):
         np.testing.assert_array_equal(d1, d0)
 
 
-# ------------------------------------------------------------ float32 path
-@settings(max_examples=15, deadline=None)
-@given(seed=st.integers(0, 2**20), n=st.integers(80, 400), d=st.integers(2, 12))
-def test_float32_refined_matches_float64(seed, n, d):
-    """Property: f32 compute + f64 refinement returns the f64 ids."""
-    rng = np.random.default_rng(seed)
-    X = rng.normal(size=(n, d))
-    Q = rng.normal(size=(10, d))
-    k = min(4, n)
-    d64, i64 = bf_knn(Q, X, k=k)
-    d32, i32 = bf_knn(Q, X, k=k, dtype="float32")
-    # Gaussian data: ties have measure zero, ids must agree exactly
-    np.testing.assert_array_equal(i32, i64)
-    np.testing.assert_allclose(d32, d64, rtol=1e-9, atol=1e-12)
-
-
-@pytest.mark.parametrize("cls", [ExactRBC, OneShotRBC])
-def test_index_float32_matches_float64_ids(cls, rng):
-    X = rng.normal(size=(1500, 10))
-    Q = rng.normal(size=(50, 10))
-    f64 = cls(seed=0).build(X)
-    f32 = cls(seed=0, dtype="float32").build(X)
-    d1, i1 = f64.query(Q, k=5)
-    d2, i2 = f32.query(Q, k=5)
-    np.testing.assert_array_equal(i1, i2)
-    np.testing.assert_allclose(d1, d2, rtol=1e-9, atol=1e-12)
-
-
-def test_float32_unrefined_is_low_precision(rng):
-    X = rng.normal(size=(300, 6))
-    Q = rng.normal(size=(10, 6))
-    d64, _ = bf_knn(Q, X, k=3)
-    d32, _ = bf_knn(Q, X, k=3, dtype="float32", refine=False)
-    assert d32.dtype == np.float32  # no refinement: raw compute dtype
-    assert not np.array_equal(d32.astype(np.float64), d64)  # f32 rounding
-    np.testing.assert_allclose(d32, d64, rtol=1e-4)
-
-
-def test_bf_range_float32_matches(rng):
-    X = rng.normal(size=(400, 5))
-    Q = rng.normal(size=(12, 5))
-    eps = 2.0
-    out64 = bf_range(Q, X, eps=eps)
-    out32 = bf_range(Q, X, eps=eps, dtype="float32")
-    for (d64, i64), (d32, i32) in zip(out64, out32):
-        np.testing.assert_array_equal(np.sort(i64), np.sort(i32))
-        np.testing.assert_allclose(np.sort(d64), np.sort(d32), rtol=1e-9)
-
-
-def test_exact_range_query_float32_matches(rng):
-    X = rng.normal(size=(800, 5))
-    Q = rng.normal(size=(15, 5))
-    f64 = ExactRBC(seed=0).build(X)
-    f32 = ExactRBC(seed=0, dtype="float32").build(X)
-    for (d1, i1), (d2, i2) in zip(f64.range_query(Q, 1.5), f32.range_query(Q, 1.5)):
-        np.testing.assert_array_equal(np.sort(i1), np.sort(i2))
-
-
+# ------------------------------------------------------------ one precision
 def test_bf_knn_rejects_bad_dtype_and_prepared_with_ids(rng):
     X = rng.normal(size=(50, 3))
     Q = rng.normal(size=(4, 3))
-    # ("int8"/"float16" are now quantizer sugar, so they no longer reject)
-    with pytest.raises(ValueError, match="compute dtype"):
-        bf_knn(Q, X, k=2, dtype="int16")
+    # float64 is the one compute precision: no dtype/refine knob remains
+    # (the quantized tier is quantizer=)
+    for kw in (
+        {"dtype": "float32"}, {"dtype": "int8"}, {"refine": False},
+        {"engine": False},
+    ):
+        with pytest.raises(TypeError):
+            bf_knn(Q, X, k=2, **kw)
+        with pytest.raises(TypeError):
+            bf_range(Q, X, eps=1.0, **kw)
+    for kw in ({"dtype": "float32"}, {"refine": True}):
+        with pytest.raises(TypeError):
+            ExactRBC(**kw)
+        with pytest.raises(TypeError):
+            OneShotRBC(**kw)
     metric = Euclidean()
     with pytest.raises(ValueError, match="x_prepared"):
         bf_knn(
@@ -341,6 +294,17 @@ def test_refine_topk_handles_padding(rng):
     np.testing.assert_allclose(
         d[0, 0], min(metric.pairwise(Q[[0]], X[[0, 5]])[0]), rtol=1e-12
     )
+
+
+def test_refine_topk_pads_narrow_blocks_to_k(rng):
+    metric = Euclidean()
+    X = rng.normal(size=(20, 4))
+    Q = rng.normal(size=(3, 4))
+    idx = np.array([[0, 5], [1, -1], [4, 2]])
+    d, i = refine_topk(metric, Q, X, idx, k=4)
+    assert d.shape == (3, 4) and i.shape == (3, 4)
+    assert (i[:, 2:] == -1).all() and np.isinf(d[:, 2:]).all()
+    assert i[1, 0] == 1 and i[1, 1] == -1
 
 
 # ------------------------------------------------------------- paired API

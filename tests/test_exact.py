@@ -79,16 +79,16 @@ def test_duplicate_points_exact():
     [
         {},
         {"engine": False},
-        {"dtype": "float32"},
+        {"quantizer": "int8", "quant_strategy": "flat"},
         {"quantizer": "int8", "quant_strategy": "grouped"},
     ],
 )
 def test_scanned_seeds_survive_rounding(kw):
     # Gram-trick distances of near-coincident points carry rounding error
     # relative to the norms (|x|^2 ~ 3e3 in the first set; float32 codes
-    # in the quantized scan), beyond the gamma threshold's relative slack;
-    # the scan must still keep the seeds its prefixes hold, or rows come
-    # back empty
+    # in the quantized scans), beyond the gamma threshold's relative slack;
+    # every numeric path must still keep the seeds its prefixes hold, or
+    # rows come back empty
     rng = np.random.default_rng(4)
     spike = np.full((24, 4), -27.64007288)
     spike[0, 0] = 0.0

@@ -84,7 +84,7 @@ def test_traced_query_with_ctx_threads_execution_state(small_vectors):
     X, Q = small_vectors
     index = ExactRBC(seed=0).build(X)
     base = traced_query(index, Q, k=2)
-    via_ctx = traced_query(index, Q, k=2, ctx=ExecContext(dtype="float64"))
+    via_ctx = traced_query(index, Q, k=2, ctx=ExecContext(executor="serial"))
     np.testing.assert_array_equal(base.dist, via_ctx.dist)
     np.testing.assert_array_equal(base.idx, via_ctx.idx)
     assert base.evals == via_ctx.evals

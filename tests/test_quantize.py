@@ -106,9 +106,10 @@ def test_quant_search_k_exceeds_n():
     qop = quantize_prepared(met, met.prepare(X), "int8")
     d, i, _ = quant_search(met, X[:2], X, qop, 6)
     ed, ei = reference_knn(X[:2], X, 4, "euclidean")
-    # the primitive clamps to the 4 live rows; bf_knn pads back to k
-    assert d.shape == (2, 4)
-    assert_same_answers(ed, ei, d, i)
+    # the 4 live rows, then inf / -1 padding out to k
+    assert d.shape == (2, 6) and np.isinf(d[:, 4:]).all()
+    assert (i[:, 4:] == -1).all()
+    assert_same_answers(ed, ei, d[:, :4], i[:, :4])
     bd, bi = bf_knn(X[:2], X, k=6, quantizer="int8")
     assert bd.shape == (2, 6) and np.isinf(bd[:, 4:]).all()
     assert (bi[:, 4:] == -1).all()
@@ -261,6 +262,25 @@ def test_oneshot_quant_parity(n_probes, clustered):
     assert quant.last_stats.quant is not None
 
 
+def test_quant_answers_keep_k_columns():
+    # fewer candidates than k: every quantized path pads its answer to
+    # (m, k) with inf / -1, exactly like the float64 search it mirrors
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(12, 4))
+    Q = rng.normal(size=(3, 4))
+    k = 15
+    for cls, kw in (
+        (ExactRBC, {"quant_strategy": "flat"}),
+        (ExactRBC, {"quant_strategy": "grouped"}),
+        (OneShotRBC, {}),
+    ):
+        ed, ei = cls(seed=0).build(X).query(Q, k=k)
+        d, i = cls(seed=0, quantizer="int8", **kw).build(X).query(Q, k=k)
+        assert d.shape == i.shape == (3, k), (cls.__name__, kw)
+        np.testing.assert_array_equal(i, ei)
+        assert_same_answers(ed, ei, d, i)
+
+
 def test_quantizer_arg_validation(rng):
     with pytest.raises(ValueError):
         ExactRBC(quantizer="int4")
@@ -276,10 +296,6 @@ def test_bf_knn_quantizer_parity(small_vectors):
     ed, ei = bf_knn(Q, X, k=5)
     d, i = bf_knn(Q, X, k=5, quantizer="int8")
     assert_same_answers(ed, ei, d, i)
-    # dtype sugar routes through the same path
-    d2, i2 = bf_knn(Q, X, k=5, dtype="int8")
-    np.testing.assert_array_equal(i, i2)
-    np.testing.assert_allclose(d, d2)
 
 
 def test_bf_knn_quantizer_with_ids(small_vectors, rng):

@@ -9,6 +9,7 @@ handled exactly once, by ``executor_scope``.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -88,48 +89,46 @@ def test_ctx_executor_scope_serial_default():
 
 def test_resolve_ctx_packages_kwargs():
     r = TraceRecorder()
-    ctx = resolve_ctx(None, recorder=r, executor="threads", dtype="float32")
+    ctx = resolve_ctx(None, recorder=r, executor="threads", row_chunk=64)
     assert ctx.recorder is r
     assert ctx.executor == "threads"
-    assert ctx.dtype == "float32"
+    assert ctx.row_chunk == 64
 
 
 def test_resolve_ctx_ctx_fields_win():
     r1, r2 = TraceRecorder(), TraceRecorder()
     ctx = resolve_ctx(
-        ExecContext(recorder=r1, dtype="float32"),
+        ExecContext(recorder=r1, row_chunk=64),
         recorder=r2,
         executor="threads",
-        dtype="float64",
+        row_chunk=128,
     )
     assert ctx.recorder is r1  # ctx wins
-    assert ctx.dtype == "float32"  # ctx wins
+    assert ctx.row_chunk == 64  # ctx wins
     assert ctx.executor == "threads"  # kwargs fill the gap
 
 
 def test_overriding_unset_fields_inherit():
-    base = ExecContext(executor="threads", n_workers=3, dtype="float32")
-    merged = ExecContext(dtype="float64").overriding(base)
+    base = ExecContext(executor="threads", n_workers=3, tile_cols=256)
+    merged = ExecContext(tile_cols=512).overriding(base)
     assert merged.executor == "threads"
     assert merged.n_workers == 3
-    assert merged.dtype == "float64"
+    assert merged.tile_cols == 512
 
 
-def test_transport_drops_numeric_policy():
-    r = TraceRecorder()
-    ctx = ExecContext(
-        executor="threads", recorder=r, dtype="float32", engine=False, row_chunk=64
-    )
-    t = ctx.transport()
-    assert t.executor == "threads"
-    assert t.recorder is r
-    assert t.row_chunk == 64
-    assert t.dtype is None and t.engine is None
+def test_ctx_carries_execution_fields_only():
+    # float64 is the one compute precision: no per-call numeric policy
+    assert [f.name for f in fields(ExecContext)] == [
+        "executor", "n_workers", "recorder", "row_chunk", "tile_cols", "tracer"
+    ]
 
 
 def test_invalid_dtype_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         ExecContext(dtype="float16")
+    for kw in ({"dtype": "float32"}, {"engine": False}):
+        with pytest.raises(TypeError):
+            resolve_ctx(None, **kw)
 
 
 def test_uses_processes():
@@ -139,13 +138,16 @@ def test_uses_processes():
 
 
 def test_engine_policy_off_under_processes():
-    from repro.metrics import get_metric
-
-    metric = get_metric("euclidean")
+    # the index's engine rule: switch on, vector metric, ndarray database,
+    # no process backend
     X = np.zeros((4, 3))
-    assert ExecContext().engine_active(metric, X)
-    assert not ExecContext(executor="processes").engine_active(metric, X)
-    assert not ExecContext(engine=False).engine_active(metric, X)
+    index = ExactRBC(seed=0).build(X)
+    assert index._engine_active()
+    assert index._engine_active(ExecContext(executor="threads"))
+    assert not index._engine_active(ExecContext(executor="processes"))
+    assert not ExactRBC(seed=0, executor="processes").build(X)._engine_active()
+    assert not ExactRBC(seed=0, engine=False).build(X)._engine_active()
+    assert not ExactRBC(metric="edit", seed=0).build(["ab", "b"])._engine_active()
 
 
 # -------------------------------------------------------------- timing recorder
@@ -243,8 +245,8 @@ def test_ctx_equals_legacy_kwargs_property(n, m, dim, k, seed, cls):
 def test_bf_knn_ctx_equals_kwargs(small_vectors):
     X, Q = small_vectors
     ra, rb = TraceRecorder(), TraceRecorder()
-    da, ia = bf_knn(Q, X, k=2, recorder=ra, dtype="float32")
-    db, ib = bf_knn(Q, X, k=2, ctx=ExecContext(recorder=rb, dtype="float32"))
+    da, ia = bf_knn(Q, X, k=2, recorder=ra, row_chunk=8)
+    db, ib = bf_knn(Q, X, k=2, ctx=ExecContext(recorder=rb, row_chunk=8))
     np.testing.assert_array_equal(da, db)
     np.testing.assert_array_equal(ia, ib)
     assert _trace_key(ra) == _trace_key(rb)

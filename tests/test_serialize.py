@@ -47,6 +47,24 @@ def test_roundtrip_preserves_structure(small_vectors, tmp_path):
         np.testing.assert_array_equal(a, b)
 
 
+def test_float32_archive_loads_as_float64(small_vectors, tmp_path):
+    # files from earlier releases carry a compute dtype; a float32 one
+    # loads as a float64 index with the same ids and exact distances
+    X, Q = small_vectors
+    orig = ExactRBC(seed=0).build(X)
+    d0, i0 = orig.query(Q, k=3)
+    path = tmp_path / "f32.npz"
+    save_index(orig, path)
+    with np.load(path) as z:
+        fields = dict(z)
+    assert "dtype" not in fields
+    np.savez_compressed(path, **fields, dtype="float32")
+    clone = load_index(path)
+    d1, i1 = clone.query(Q, k=3)
+    np.testing.assert_array_equal(i1, i0)
+    np.testing.assert_array_equal(d1, d0)
+
+
 def test_unbuilt_rejected(tmp_path):
     with pytest.raises(ValueError, match="unbuilt"):
         save_index(ExactRBC(), tmp_path / "x.npz")
