@@ -18,7 +18,17 @@ import pathlib
 import numpy as np
 import pytest
 
+import repro.runtime.autotune as autotune_mod
+
 OUT_DIR = pathlib.Path(__file__).parent / "out"
+
+
+@pytest.fixture(autouse=True)
+def _memory_tuner(monkeypatch):
+    """Keep autotuner plans in-memory so benchmarks never touch ~/.cache."""
+    monkeypatch.setattr(
+        autotune_mod, "default_autotuner", autotune_mod.Autotuner(persist=False)
+    )
 
 
 @pytest.fixture

@@ -2,7 +2,7 @@
 
 from .aesa import AESA
 from .balltree import BallTree
-from .base import Index
+from ..index.protocol import Index
 from .brute import BruteForceIndex
 from .covertree import CoverTree
 from .gnat import GNAT

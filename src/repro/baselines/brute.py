@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..index.protocol import Capabilities, Index
 from ..metrics import get_metric
 from ..metrics.base import Metric
 from ..parallel.bruteforce import bf_knn, bf_range
 from ..runtime.context import ExecContext, resolve_ctx
 from ..simulator.trace import NULL_RECORDER, TraceRecorder
-from .base import Capabilities, Index
 
 __all__ = ["BruteForceIndex"]
 

@@ -23,11 +23,11 @@ import heapq
 
 import numpy as np
 
+from ..index.protocol import Capabilities, Index
 from ..metrics import get_metric
 from ..metrics.base import Metric
 from ..runtime.context import ExecContext, resolve_ctx
 from ..simulator.trace import NULL_RECORDER, Op, TraceRecorder
-from .base import Capabilities, Index
 
 __all__ = ["GNAT"]
 

@@ -213,21 +213,23 @@ def _cmd_compare(args) -> int:
         )
         info = qr.quant or {}
         plan = qidx._quant_plan()
-        # bytes one query scans: codes vs the float64 operand it replaces
-        float_bytes = X.shape[0] * X.shape[1] * 8
-        code_bytes = int(info.get("code_bytes", 0))
         print(
-            f"quantized:   {info.get('quantizer', args.quantize)}"
-            f"/{info.get('strategy', plan.strategy)} "
-            f"({info.get('backend', plan.backend)}) "
+            f"quantized:   {plan.quantizer}/{plan.strategy} ({plan.backend}) "
             f"{qr.wall_s * 1e3:9.3f} ms vs rbc {r.wall_s * 1e3:9.3f} ms "
             f"({r.wall_s / max(qr.wall_s, 1e-12):.1f}x)"
         )
-        print(
-            f"  ids identical: {qsame}; bytes/scan {code_bytes} vs "
-            f"{float_bytes} float64 "
-            f"({float_bytes / max(code_bytes, 1):.1f}x less moved)"
-        )
+        if not info:
+            # a grouped plan runs the float64 search and builds no codes
+            print(f"  ids identical: {qsame}; float64 grouped scan, no codes")
+        else:
+            # bytes one query scans: codes vs the float64 operand they replace
+            float_bytes = X.shape[0] * X.shape[1] * 8
+            code_bytes = int(info["code_bytes"])
+            print(
+                f"  ids identical: {qsame}; bytes/scan {code_bytes} vs "
+                f"{float_bytes} float64 "
+                f"({float_bytes / max(code_bytes, 1):.1f}x less moved)"
+            )
         if "recall_before_rerank" in info:
             print(
                 f"  recall before re-rank: "

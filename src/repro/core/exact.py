@@ -47,7 +47,8 @@ representatives' lists).  :meth:`ExactRBC.query` runs them over all
 representatives; the sharded searcher and the distributed engine run the
 scan once per shard or node (§8: distribute the search by representative).
 Every distance is float64; the one reduced-precision path is the quantized
-tier, whose scans only generate candidates for a float64 re-rank.
+tier (``quantizer=``), whose one certified flat scan only generates
+candidates for a float64 re-rank.
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..metrics.engine import Prepared, refine_topk
+from ..metrics.engine import Prepared, operand_cache
+from ..metrics.quantize import check_quantizer, supports_quantization
 from ..parallel.blocking import row_chunks
 from ..parallel.bruteforce import _is_batch, _record_dist_tile, _record_select
 from ..parallel.pool import SerialExecutor
@@ -82,9 +84,45 @@ class ExactRBC(RBCBase):
     >>> dist, idx = index.query(X[:3], k=2)
     >>> bool((idx[:, 0] == [0, 1, 2]).all())   # a point's 1-NN is itself
     True
+
+    Parameters
+    ----------
+    quantizer:
+        the reduced-precision path: ``None`` (off, default),
+        ``"int8"``/``"float16"``/``"pq"`` to pin a code kind, or ``"auto"``
+        to let the autotuner pick one.  The autotuner's
+        :class:`~repro.runtime.autotune.KernelPlan`, fed by the
+        candidate-fraction probe, decides whether the codes run: ``flat``
+        replaces both stages with one certified quantized scan whose
+        candidates a float64 re-rank finalizes; ``grouped`` (pruning
+        bites) runs the float64 two-stage search and builds no codes.
+        Answer ids stay identical to the float64 search either way.
+        Requires a metric with a GEMM-shaped prepared kernel (the
+        Euclidean family, Mahalanobis, or cosine).
+
+    The other keywords are :class:`~repro.core.rbc.RBCBase`'s.
     """
 
     CAPS = RBCBase.CAPS.replace(range_queries=True)
+
+    def __init__(
+        self,
+        metric="euclidean",
+        *,
+        quantizer: str | None = None,
+        **kwargs,
+    ) -> None:
+        super().__init__(metric, **kwargs)
+        if quantizer is not None:
+            if quantizer != "auto":
+                check_quantizer(quantizer)
+            if not supports_quantization(self.metric):
+                raise ValueError(
+                    f"quantizer={quantizer!r} requires a metric with a "
+                    f"GEMM-shaped prepared kernel; "
+                    f"{type(self.metric).__name__} has none"
+                )
+        self.quantizer = quantizer
 
     def build(
         self,
@@ -185,23 +223,14 @@ class ExactRBC(RBCBase):
         Qs, D_R = self._stage1(Qb, ctx)
         stats.stage1_evals = self.metric.counter.n_evals - evals0
         # the grouped scans run on the prepared block (engine) or the raw
-        # queries (generic metrics) ...
+        # queries (generic metrics)
         engine = isinstance(Qs, Prepared)
-        qop = None
-        if qplan is not None:
-            # ... or, quantized, on the float32 decode cache; every
-            # survivor is then re-ranked in float64, so the answer ids
-            # match the unquantized path
-            qop = self._quant_operand(qplan.quantizer)
-            Qs = self.metric.prepare(Qb, dtype="float32")
-
         rules = dict(
             use_psi_rule=use_psi_rule,
             use_3gamma_rule=use_3gamma_rule,
             use_trim=use_trim,
             approx_eps=approx_eps,
         )
-        itemsize = float(Qs.dtype.itemsize) if engine else 8.0
 
         def task(chunk):
             lo, hi = chunk
@@ -222,35 +251,15 @@ class ExactRBC(RBCBase):
                             tag="exact:prune",
                         )
                     )
-                pool = self._scan(Qc, pruned, recorder=recorder, qop=qop)
-                if qop is None:
-                    dist, idx = self._gather(Qc, Dc, pruned, [pool], k)
-                else:
-                    # approximate scan distances cannot rank the answer:
-                    # keep *every* survivor (the widened bound guarantees
-                    # the true top-k are among them), pad to the widest
-                    # row and re-rank the whole pool in exact float64
-                    seeds = self._seeds(Qc, Dc, pruned)
-                    r, _, g, rank = _top([pool, seeds], c)
-                    padded = np.full(
-                        (c, int(rank.max(initial=0)) + 1),
-                        EMPTY_IDX,
-                        dtype=np.int64,
-                    )
-                    padded[r, rank] = g
-                    dist, idx = refine_topk(
-                        self.metric,
-                        self.metric.take(Qb, np.arange(lo, hi)),
-                        self.X,
-                        padded,
-                        k,
-                    )
+                pool = self._scan(Qc, pruned, recorder=recorder)
+                dist, idx = self._gather(Qc, Dc, pruned, [pool], k)
                 if recorder.enabled:
+                    # two (c, k) blocks: float64 distances plus int64 ids
                     recorder.record(
                         Op(
                             kind="reduce",
                             flops=4.0 * c * k,
-                            bytes=2.0 * c * k * (itemsize + 8.0),
+                            bytes=2.0 * c * k * 16.0,
                             vectorizable=True,
                             tag="exact:stage2:merge",
                         )
@@ -277,13 +286,6 @@ class ExactRBC(RBCBase):
             stats.pruned_by_3gamma += sub.pruned_by_3gamma
             stats.trimmed_by_4gamma += sub.trimmed_by_4gamma
             stats.candidates_examined += sub.candidates_examined
-        if qop is not None:
-            stats.quant = {
-                "strategy": "grouped",
-                "quantizer": qplan.quantizer,
-                "backend": qplan.backend,
-                "code_bytes": int(qop.code_bytes),
-            }
         self.last_stats = stats
         return dist, idx
 
@@ -372,9 +374,17 @@ class ExactRBC(RBCBase):
 
     def warm(self, ctx: ExecContext | None = None) -> "ExactRBC":
         """Additionally pre-computes the representative-position table the
-        batched stage 2 consults (see :meth:`RBCBase.warm`)."""
+        batched stage 2 consults (see :meth:`RBCBase.warm`) and, for a
+        quantized index, resolves the tuned kernel plan — building the
+        code operand only when the plan is flat — so serving pays for
+        autotuning and quantization before the first query instead of
+        inside its latency budget."""
         super().warm(ctx)
         self._rep_positions()
+        engine = self._engine_active(self._call_ctx(ctx))
+        qplan = self._quant_plan() if engine else None
+        if qplan is not None and qplan.strategy == "flat":
+            self._quant_operand(qplan.quantizer)
         return self
 
     def _rep_positions(self) -> tuple[np.ndarray, np.ndarray]:
@@ -414,11 +424,11 @@ class ExactRBC(RBCBase):
         probed on <= 64 live points standing in as queries (k = 1).
 
         This is the autotuner's flat-vs-grouped input: at low dimension
-        the rules prune hard and the grouped scan wins; past d ~ 32 on
-        i.i.d. data they keep nearly everything and one flat quantized
-        scan is cheaper.  The probe is a single stage-1 block plus
-        :meth:`_prune` — no stage-2 distances — and runs once per index
-        version (the plan is cached in ``_prep``).
+        the rules prune hard and the float64 grouped scan wins; past
+        d ~ 32 on i.i.d. data they keep nearly everything and one flat
+        quantized scan is cheaper.  The probe is a single stage-1 block
+        plus :meth:`_prune` — no stage-2 distances — and runs once per
+        index version (the plan is cached in ``_prep``).
         """
         self._require_built()
         live = self.active_ids
@@ -431,6 +441,69 @@ class ExactRBC(RBCBase):
         )
         kept = int(self._prune(D, 1).cuts.sum())
         return min(1.0, kept / max(1, probe_m * live.size))
+
+    def _quant_plan(self):
+        """The tuned :class:`~repro.runtime.autotune.KernelPlan` for this
+        index (resolved once per version; ``quantizer=None`` -> ``None``).
+
+        The autotuner prices the flat quantized scan against the float64
+        grouped scan from the machine model and
+        :meth:`_estimate_candidate_fraction`; ``quantizer="auto"`` also
+        lets it pick the code kind, an explicit kind pins it.
+        """
+        if self.quantizer is None:
+            return None
+        cached = self._prep.get("quant_plan")
+        if cached is not None:
+            return cached
+        from ..runtime.autotune import default_autotuner
+
+        plan = default_autotuner.plan_for(
+            type(self).__name__.lower(),
+            self.n,
+            int(self.metric.dim(self.X)),
+            kernel=self.metric.prepared_kernel,
+            quantizer=None if self.quantizer == "auto" else self.quantizer,
+            cand_frac=self._estimate_candidate_fraction(),
+        )
+        self._prep["quant_plan"] = plan
+        return plan
+
+    def _quant_operand(self, kind: str):
+        """Quantized code operand of the flat scan.
+
+        Backing row ``t`` codes the database point ``packed.ids[t]`` —
+        the layout of :meth:`_prepared_cands`, whose gathered matrix it
+        quantizes — and the scan covers exactly the live points (slack
+        rows are masked out, tombstoned points are simply absent).
+        Derived through
+        :meth:`~repro.metrics.engine.OperandCache.get_quantized`, so it
+        shares the float64 parent's version stamp and is evicted with it.
+        """
+        key = ("quant", kind)
+        ent = self._prep.get(key)
+        if ent is None:
+            self._prepared_cands()  # parent + gathered matrix
+            gathered = self._prep["cands_src"]
+            packed = self._packed
+            safe_ids = np.clip(packed.ids, 0, self.n - 1).astype(np.int64)
+            valid = np.zeros(safe_ids.size, dtype=bool)
+            for j in range(packed.n_lists):
+                lo, hi = packed.span(j)
+                valid[lo:hi] = True
+                # slack rows map to -1 (refine_topk's ignored padding id),
+                # never to a real point, should one leak past the masks
+                safe_ids[hi : packed.starts[j + 1]] = -1
+            ent = operand_cache.get_quantized(
+                self.metric,
+                gathered,
+                kind,
+                version=self._version,
+                ids=safe_ids,
+                valid=valid,
+            )
+            self._prep[key] = ent
+        return ent
 
     def _prune(
         self,
@@ -514,7 +587,6 @@ class ExactRBC(RBCBase):
         *,
         top=None,
         recorder=NULL_RECORDER,
-        qop=None,
     ):
         """Grouped stage 2 over the Claim-2 prefixes ``pruned`` kept.
 
@@ -531,25 +603,22 @@ class ExactRBC(RBCBase):
         distance (the k seed representatives are candidates within it), so
         a scanned candidate beyond it can never enter the top-k.  The bound
         is widened by a relative slack of 1e-9 so rounding admits extra
-        survivors rather than excluding neighbors; quantized scans
-        (``qop``) widen it per element by the code residual.  The seeds a
-        scanned prefix holds always survive: Gram-trick distances of
+        survivors rather than excluding neighbors.  The seeds a scanned
+        prefix holds always survive: Gram-trick distances of
         near-coincident points cancel, so their rounding error scales with
         the norms rather than the distance and can exceed any relative
-        slack, and a row must keep its ``k`` seeds.  Returns the survivor pool ``(rows, dists,
-        ids)``; ``top`` keeps only each row's ``top`` nearest (a node's
-        top-k reply).  Stores no per-call state on the index.
+        slack, and a row must keep its ``k`` seeds.  Returns the survivor
+        pool ``(rows, dists, ids)``; ``top`` keeps only each row's ``top``
+        nearest (a node's top-k reply).  Stores no per-call state on the
+        index.
         """
         metric = self.metric
         engine = isinstance(Qop, Prepared)
         squared = self._squared(Qop)
         dim = metric.dim(self.rep_data)
         if engine:
-            Cp = self._prepared_cands() if qop is None else qop.decoded
+            Cp = self._prepared_cands()
             starts = self._packed.starts
-            itemsize = float(Qop.dtype.itemsize)
-        else:
-            itemsize = 8.0
         gamma = pruned.gamma
         thr = (metric.to_squared(gamma) if squared else gamma) * (1.0 + 1e-9)
         lists = self.lists
@@ -591,23 +660,10 @@ class ExactRBC(RBCBase):
             if touched is not None:
                 touched[prefix] = True
             _record_dist_tile(
-                recorder, metric, rows.size, prefix_len, dim,
-                "exact:stage2", itemsize=itemsize,
+                recorder, metric, rows.size, prefix_len, dim, "exact:stage2"
             )
-            _record_select(
-                recorder, rows.size, prefix_len, "exact:stage2",
-                itemsize=itemsize,
-            )
-            if qop is not None:
-                # per-element triangle bound: a candidate with true distance
-                # <= gamma has decoded-scan distance <= gamma + resid
-                resid = qop.resid[plo : plo + prefix_len]
-                bnd = gamma[rows][:, None] + resid[None, :]
-                if squared:
-                    bnd = metric.to_squared(bnd)
-                mask = D <= bnd * (1.0 + 1e-4) + 1e-9
-            else:
-                mask = D <= thr[rows][:, None]
+            _record_select(recorder, rows.size, prefix_len, "exact:stage2")
+            mask = D <= thr[rows][:, None]
             if int(cut.min()) < prefix_len:
                 # ragged group scanned as one padded block: a row only owns
                 # its own trimmed prefix
@@ -619,16 +675,16 @@ class ExactRBC(RBCBase):
             flat = np.flatnonzero(mask)
             rr, cc = np.divmod(flat, prefix_len)
             acc_r.append(rows[rr])
-            acc_d.append(D.reshape(-1)[flat].astype(np.float64, copy=False))
+            acc_d.append(D.reshape(-1)[flat])
             acc_g.append(prefix[cc])
             if recorder.enabled:
-                # two (rows, k) candidate blocks: distances at the compute
-                # itemsize plus int64 ids
+                # two (rows, k) candidate blocks: float64 distances plus
+                # int64 ids
                 recorder.record(
                     Op(
                         kind="reduce",
                         flops=4.0 * rows.size * pruned.k,
-                        bytes=2.0 * rows.size * pruned.k * (itemsize + 8.0),
+                        bytes=2.0 * rows.size * pruned.k * 16.0,
                         vectorizable=True,
                         tag="exact:stage2:merge",
                     )
@@ -638,7 +694,7 @@ class ExactRBC(RBCBase):
                 Op(
                     kind="memcpy",
                     flops=0.0,
-                    bytes=itemsize * dim * float(touched.sum()),
+                    bytes=8.0 * dim * float(touched.sum()),
                     tag="exact:stage2-stream",
                 )
             )

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..metrics.engine import refine_topk
 from ..parallel.bruteforce import _is_batch, _record_dist_tile, bf_knn
 from ..parallel.reduce import (
     EMPTY_IDX,
@@ -51,7 +50,7 @@ class OneShotRBC(RBCBase):
     (5, 1)
     """
 
-    CAPS = RBCBase.CAPS.replace(exact=False)
+    CAPS = RBCBase.CAPS.replace(exact=False, quantizable=False)
 
     def build(
         self,
@@ -175,12 +174,6 @@ class OneShotRBC(RBCBase):
 
         Qb = Q if _is_batch(self.metric, Q) else self.metric._as_batch(Q)
 
-        qplan = self._quant_plan() if engine else None
-        if qplan is not None:
-            return self._query_quant(
-                Qb, rep_local, k, n_probes, qplan, stats, recorder
-            )
-
         # stage 2: scan each chosen representative's list, grouped by rep.
         # Lists overlap under multi-probe, so a candidate can arrive through
         # several lists; carry k * n_probes merge slots so duplicates cannot
@@ -261,90 +254,6 @@ class OneShotRBC(RBCBase):
             best_d = self.metric.from_squared(best_d)
         if n_probes > 1:
             best_d, best_i = dedupe_rows(best_d, best_i, k)
-        self.last_stats = stats
-        return best_d, best_i
-
-    def _query_quant(self, Qb, rep_local, k, n_probes, plan, stats, recorder):
-        """Quantized stage 2: scan each chosen list on the decode cache,
-        bound-filter, and re-rank the survivors in float64.
-
-        Per group, the survivor set provably contains that group's true
-        top-k (``bound_filter`` keeps every candidate whose lower bound
-        beats the k-th smallest upper bound), and a union top-k member is
-        top-k within its own group, so the re-ranked answer is
-        id-identical to the unquantized one-shot scan.  Multi-probe
-        overlap is removed by :func:`~repro.parallel.reduce.dedupe_rows`
-        before the float64 re-rank.
-        """
-        from ..metrics.quantize import bound_filter
-
-        qop = self._quant_operand(plan.quantizer)
-        Qp = self.metric.prepare(Qb, dtype="float32")
-        packed = self._packed
-        squared = self.metric.squared_ok
-        m = rep_local.shape[0]
-        dim = self.metric.dim(self.rep_data)
-        evals1 = self.metric.counter.n_evals
-        acc_r: list[np.ndarray] = []
-        acc_d: list[np.ndarray] = []
-        acc_g: list[np.ndarray] = []
-        with recorder.phase("oneshot:stage2"):
-            for probe in range(n_probes):
-                choice = rep_local[:, probe]
-                for rep in np.unique(choice):
-                    rows = np.flatnonzero(choice == rep)
-                    cand = self.lists[rep]
-                    if cand.size == 0:
-                        continue
-                    lo, hi = packed.span(rep)
-                    D = self.metric.pairwise_prepared(
-                        Qp.take(rows),
-                        qop.decoded.slice(lo, hi),
-                        squared=squared,
-                    )
-                    if squared:
-                        D = self.metric.from_squared(D)
-                    _record_dist_tile(
-                        recorder, self.metric, rows.size, cand.size, dim,
-                        "oneshot:stage2", itemsize=4.0,
-                    )
-                    stats.candidates_examined += int(D.size)
-                    mask, _ = bound_filter(D, qop.resid[lo:hi], k)
-                    flat = np.flatnonzero(mask)
-                    rr, cc = np.divmod(flat, hi - lo)
-                    acc_r.append(rows[rr])
-                    acc_d.append(
-                        D.reshape(-1)[flat].astype(np.float64, copy=False)
-                    )
-                    acc_g.append(cand[cc])
-        stats.stage2_evals = self.metric.counter.n_evals - evals1
-
-        best_d = np.full((m, k), np.inf)
-        best_i = np.full((m, k), EMPTY_IDX, dtype=np.int64)
-        if acc_r:
-            r_all = np.concatenate(acc_r)
-            d_all = np.concatenate(acc_d)
-            g_all = np.concatenate(acc_g)
-            order = np.lexsort((d_all, r_all))
-            r_s = r_all[order]
-            rank = np.arange(r_s.size) - np.searchsorted(
-                r_s, np.arange(m + 1)
-            )[r_s]
-            counts = np.bincount(r_s, minlength=m)
-            width = max(int(counts.max()) if counts.size else 0, 1)
-            pd = np.full((m, width), np.inf)
-            pi = np.full((m, width), EMPTY_IDX, dtype=np.int64)
-            pd[r_s, rank] = d_all[order]
-            pi[r_s, rank] = g_all[order]
-            if n_probes > 1:
-                pd, pi = dedupe_rows(pd, pi, width)
-            best_d, best_i = refine_topk(self.metric, Qb, self.X, pi, k)
-        stats.quant = {
-            "strategy": "grouped",
-            "quantizer": plan.quantizer,
-            "backend": plan.backend,
-            "code_bytes": int(qop.code_bytes),
-        }
         self.last_stats = stats
         return best_d, best_i
 

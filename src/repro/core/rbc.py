@@ -28,7 +28,7 @@ from ..index.protocol import Capabilities, Index
 from ..metrics import get_metric
 from ..metrics.base import Metric, VectorMetric
 from ..metrics.engine import operand_cache
-from ..metrics.quantize import check_quantizer, supports_quantization
+from ..metrics.quantize import supports_quantization
 from ..parallel.pool import Executor
 from ..runtime.context import ExecContext, resolve_ctx
 from ..simulator.trace import NULL_RECORDER, TraceRecorder
@@ -86,19 +86,6 @@ class RBCBase(Index):
         candidate gathers).  On by default for vector databases; disable
         to force the straightforward gather-per-call formulation.  Both
         compute in float64, the one compute precision.
-    quantizer:
-        the reduced-precision path, a quantized scan tier below the
-        engine: ``None`` (off, default), ``"int8"``/``"float16"``/``"pq"``
-        to force a code kind, or ``"auto"`` to let the autotuner pick per
-        workload shape.  Answer ids stay identical to the float64 paths —
-        quantized scans
-        only *generate candidates*, which a float64 re-rank finalizes
-        (see docs/performance.md).  Requires a metric with a GEMM-shaped
-        prepared kernel (the Euclidean family, Mahalanobis, or cosine).
-    quant_strategy:
-        ``"auto"`` (autotuner decides), ``"flat"`` (one certified scan of
-        the whole database replaces both stages) or ``"grouped"`` (the
-        pruned stage-2 lists scan the decode cache).  Exact search only.
     """
 
     def __init__(
@@ -109,8 +96,6 @@ class RBCBase(Index):
         executor: str | Executor | None = None,
         rep_scheme: str = "bernoulli",
         engine: bool = True,
-        quantizer: str | None = None,
-        quant_strategy: str = "auto",
     ) -> None:
         self.metric = get_metric(metric)
         self.rng = (
@@ -121,22 +106,6 @@ class RBCBase(Index):
         self.executor = executor
         self.rep_scheme = rep_scheme
         self.engine = bool(engine)
-        if quantizer is not None:
-            if quantizer != "auto":
-                check_quantizer(quantizer)
-            if not supports_quantization(self.metric):
-                raise ValueError(
-                    f"quantizer={quantizer!r} requires a metric with a "
-                    f"GEMM-shaped prepared kernel; "
-                    f"{type(self.metric).__name__} has none"
-                )
-        if quant_strategy not in ("auto", "flat", "grouped"):
-            raise ValueError(
-                "quant_strategy must be 'auto', 'flat' or 'grouped', "
-                f"got {quant_strategy!r}"
-            )
-        self.quantizer = quantizer
-        self.quant_strategy = quant_strategy
 
         # populated by build()
         self.X = None
@@ -233,9 +202,10 @@ class RBCBase(Index):
         self._bump_version()
 
     # ------------------------------------------------------- kernel engine
-    #: refined per-structure by the subclasses (one-shot is approximate,
-    #: exact supports range queries); ``quantizable``/``rescorable`` are
-    #: resolved against the configured metric in :meth:`capabilities`.
+    #: refined per-structure by the subclasses (one-shot is approximate
+    #: and scans no codes, exact supports range queries);
+    #: ``quantizable``/``rescorable`` are resolved against the configured
+    #: metric in :meth:`capabilities`.
     CAPS = Capabilities(
         exact=True,
         range_queries=False,
@@ -271,12 +241,6 @@ class RBCBase(Index):
         if self._engine_active(ctx):
             self._prepared_reps()
             self._prepared_cands()
-            if self.quantizer is not None:
-                # resolve the tuned kernel plan and build the code operand
-                # now, so serving pays for autotuning + quantization before
-                # the first query instead of inside its latency budget
-                plan = self._quant_plan()
-                self._quant_operand(plan.quantizer)
         return self
 
     # ---------------------------------------------------- execution context
@@ -346,82 +310,6 @@ class RBCBase(Index):
             # (the cache holds only a weak reference to it)
             self._prep["cands"] = ent
             self._prep["cands_src"] = gathered
-        return ent
-
-    # ----------------------------------------------------- quantized tier
-    def _estimate_candidate_fraction(self) -> float:
-        """Fraction of the database the pruning rules are expected to keep
-        per query — the autotuner's flat-vs-grouped decider.  The base
-        structure has no pruning model; subclasses override with a cheap
-        probe (see ``ExactRBC``)."""
-        return 1.0
-
-    def _quant_plan(self):
-        """The tuned :class:`~repro.runtime.autotune.KernelPlan` for this
-        index (resolved once per version; ``quantizer=None`` -> ``None``).
-
-        ``quantizer="auto"`` lets the autotuner pick the code kind and the
-        flat/grouped strategy from the machine model and a cheap pruning
-        probe; an explicit kind pins the quantizer but still takes the
-        tuned strategy/chunking unless ``quant_strategy`` pins those too.
-        """
-        if self.quantizer is None:
-            return None
-        cached = self._prep.get("quant_plan")
-        if cached is not None:
-            return cached
-        from dataclasses import replace as dc_replace
-
-        from ..runtime.autotune import default_autotuner
-
-        kind = None if self.quantizer == "auto" else self.quantizer
-        plan = default_autotuner.plan_for(
-            type(self).__name__.lower(),
-            self.n,
-            int(self.metric.dim(self.X)),
-            kernel=self.metric.prepared_kernel,
-            quantizer=kind,
-            cand_frac=self._estimate_candidate_fraction(),
-        )
-        if self.quant_strategy != "auto":
-            plan = dc_replace(plan, strategy=self.quant_strategy)
-        self._prep["quant_plan"] = plan
-        return plan
-
-    def _quant_operand(self, kind: str):
-        """Quantized code operand aligned with the packed list storage.
-
-        Backing row ``t`` codes the database point ``packed.ids[t]`` —
-        the same layout as :meth:`_prepared_cands`, so grouped stage-2
-        scans slice it directly, while the flat scan covers exactly the
-        live points (slack rows are masked out, tombstoned points are
-        simply absent).  Derived through
-        :meth:`~repro.metrics.engine.OperandCache.get_quantized`, so it
-        shares the float64 parent's version stamp and is evicted with it.
-        """
-        key = ("quant", kind)
-        ent = self._prep.get(key)
-        if ent is None:
-            self._prepared_cands()  # parent + gathered matrix
-            gathered = self._prep["cands_src"]
-            packed = self._packed
-            safe_ids = np.clip(packed.ids, 0, self.n - 1).astype(np.int64)
-            valid = np.zeros(safe_ids.size, dtype=bool)
-            for j in range(packed.n_lists):
-                lo, hi = packed.span(j)
-                valid[lo:hi] = True
-                # slack rows map to -1 (refine_topk's ignored padding id),
-                # never to a real point, should one leak past the masks
-                safe_ids[hi : packed.starts[j + 1]] = -1
-            ent = operand_cache.get_quantized(
-                self.metric,
-                gathered,
-                kind,
-                version=self._version,
-                ids=safe_ids,
-                valid=valid,
-            )
-            self._prep[key] = ent
         return ent
 
     # ------------------------------------------------------ dynamic updates

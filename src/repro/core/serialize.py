@@ -1,7 +1,8 @@
 """Index persistence: save/load a built RBC to a single ``.npz`` file.
 
 The RBC's state is flat — representative ids, concatenated ownership
-lists with offsets, radii, and the database itself — so it round-trips
+lists with offsets, radii, the database itself and the live-row mask that
+deletions leave behind — so it round-trips
 through NumPy's archive format without pickling.  Only vector datasets
 with registry-named metrics are supported (string/graph datasets carry
 Python objects whose persistence belongs to the caller).
@@ -78,6 +79,9 @@ def save_index(index, path) -> None:
         list_ids=list_ids,
         list_dists=list_dists,
         s=getattr(index, "s", -1),
+        # deleted rows stay in X (global ids are stable); the live mask
+        # keeps them deleted after a reload
+        **({} if index._active is None else {"active": index._active}),
     )
 
 
@@ -112,4 +116,7 @@ def load_index(path):
         s = int(z["s"])
         if kind == "oneshot":
             index.s = s
+        # archives written before the mask was saved load every row live
+        if "active" in z.files:
+            index._active = z["active"].copy()
     return index

@@ -3,7 +3,6 @@
 from ..runtime.report import RunReport, StreamReport
 from .plots import ascii_plot
 from .harness import (
-    QueryRun,
     format_table,
     geomean,
     run_backend,
@@ -16,7 +15,6 @@ from .recall import distance_ratio, recall_at_k, results_match_exactly
 
 __all__ = [
     "ascii_plot",
-    "QueryRun",
     "RunReport",
     "StreamReport",
     "format_table",

@@ -12,9 +12,8 @@ the trace and per-phase wall clock, and returns a
 :class:`~repro.runtime.report.RunReport` — one uniform observability
 record carrying results, counter windows, per-phase flops/bytes/wall time,
 operand-cache activity, rule counts, and the machine-model replays.
-:data:`QueryRun` remains as a backward-compatible alias of ``RunReport``,
-and ``traced_build``'s report supports the machine-name indexing its old
-dict return value had.
+``traced_build``'s report supports the machine-name indexing its old dict
+return value had.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from ..runtime.report import RunReport, collect_report
 from ..simulator.machine import MachineSpec
 
 __all__ = [
-    "QueryRun",
     "traced_query",
     "traced_build",
     "streamed_query",
@@ -34,10 +32,6 @@ __all__ = [
     "format_table",
     "geomean",
 ]
-
-#: backward-compatible name: harness runs have always returned "a QueryRun";
-#: they now return the runtime's RunReport, a strict superset of it
-QueryRun = RunReport
 
 
 def traced_query(

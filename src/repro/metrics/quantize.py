@@ -53,7 +53,6 @@ __all__ = [
     "quantize_prepared",
     "quant_topk",
     "quant_search",
-    "bound_filter",
     "supports_quantization",
 ]
 
@@ -93,8 +92,9 @@ class QuantizedOperand:
 
     ``codes`` is the compressed representation (int8 rows, float16 rows,
     or uint8 PQ code matrix); ``decoded`` is a float32
-    :class:`~repro.metrics.engine.Prepared` decode cache used by the numpy
-    scan backend and by the grouped stage-2 substitution; ``resid`` holds
+    :class:`~repro.metrics.engine.Prepared` decode cache the numpy scan
+    backend runs its GEMM on (the numba backend reads only its squared
+    norms); ``resid`` holds
     each row's exact float64 reconstruction distance and ``rmax`` its
     maximum over valid rows.  ``ids`` maps scan columns to global database
     ids (identity when ``None``), and ``valid`` masks slack rows of a
@@ -494,25 +494,3 @@ def quant_search(
         (hit.any(axis=1).sum(axis=1) / n_real).mean()
     ) if len(idx) else 1.0
     return dist, idx, info
-
-
-# ----------------------------------------------------- grouped-scan filter
-def bound_filter(
-    D: np.ndarray, resid: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rigorous candidate mask for a small *distance-domain* block.
-
-    ``D`` holds approximate distances of queries (rows) against decoded
-    candidates (columns) whose reconstruction residuals are ``resid``.
-    Returns ``(mask, U)``: ``mask[i, j]`` keeps candidate ``j`` for query
-    ``i`` iff its lower bound can still reach the certified k-th upper
-    bound ``U[i]`` — so the kept set provably contains the block's true
-    top-k.  Used by the grouped (stage-2) quantized scans, where blocks
-    are small enough that full-row bounds are cheap.
-    """
-    k_eff = min(k, D.shape[1])
-    ub = D + resid[None, :]
-    U = np.partition(ub, k_eff - 1, axis=1)[:, k_eff - 1]
-    U = U * (1.0 + _SLACK) + _ATOL
-    mask = (D - resid[None, :]) <= U[:, None]
-    return mask, U

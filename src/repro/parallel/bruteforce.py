@@ -70,15 +70,12 @@ def _record_dist_tile(
     cols: int,
     dim: int,
     tag: str,
-    itemsize: float = 8.0,
 ) -> None:
     if not recorder.enabled or rows <= 0 or cols <= 0:
         return
     fpe = metric.flops_per_eval(dim)
-    # operand traffic scales with the operand itemsize: the quantized
-    # tier's float32 decode-cache tiles move half the bytes of float64 ones
-    # (the machine models care)
-    slab_bytes = itemsize * cols * dim  # database slab, streamed once per tile
+    # float64 operands: 8 bytes per element moved
+    slab_bytes = 8.0 * cols * dim  # database slab, streamed once per tile
     done = 0
     while done < rows:
         r = min(_RECORD_SUB_ROWS, rows - done)
@@ -86,7 +83,7 @@ def _record_dist_tile(
             Op(
                 kind="gemm",
                 flops=r * cols * fpe,
-                bytes=itemsize * (r * dim + r * cols) + slab_bytes * (r / rows),
+                bytes=8.0 * (r * dim + r * cols) + slab_bytes * (r / rows),
                 vectorizable=True,
                 tag=tag,
             )
@@ -99,18 +96,15 @@ def _record_select(
     rows: int,
     cols: int,
     tag: str,
-    itemsize: float = 8.0,
 ) -> None:
-    # the selection streams the (rows, cols) distance block once; its
-    # operand traffic scales with the itemsize, exactly like the distance
-    # tiles that produced it
+    # the selection streams the (rows, cols) float64 distance block once
     if not recorder.enabled or rows <= 0 or cols <= 0:
         return
     recorder.record(
         Op(
             kind="reduce",
             flops=float(rows * cols),
-            bytes=itemsize * rows * cols,
+            bytes=8.0 * rows * cols,
             vectorizable=True,
             tag=tag,
         )

@@ -1,14 +1,15 @@
 """Kernel autotuner: the simulator's machine model as a cost model.
 
-The quantized tier gives the stage-2 scan a real choice: the *grouped*
-path scans only the pruned candidate lists (a win when the triangle-
-inequality rules bite, i.e. low dimension), while the *flat* path
-replaces both stages with one certified quantized scan of the whole
-database (a win when the curse of dimensionality makes pruning keep
-nearly everything — at d >= 32 on Gaussian data the exact rules retain
-~100% of the candidates, so the "pruned" grouped scan is a slower
-full scan).  Which side wins depends on ``(n, d, dtype, backend)`` and
-the machine, which is exactly what :mod:`repro.simulator` models.
+A quantized exact index has a real choice of scan: the *grouped* path
+is the float64 two-stage search, which scans only the pruned candidate
+lists (a win when the triangle-inequality rules bite, i.e. low
+dimension), while the *flat* path replaces both stages with one
+certified quantized scan of the whole database (a win when the curse of
+dimensionality makes pruning keep nearly everything — at d >= 32 on
+Gaussian data the exact rules retain ~100% of the candidates, so the
+"pruned" grouped scan is a slower full scan).  Which side wins depends
+on ``(n, d, code kind, backend)`` and the machine, which is exactly what
+:mod:`repro.simulator` models.
 
 :class:`Autotuner` prices both strategies with the roofline arithmetic
 of :meth:`~repro.simulator.machine.MachineSpec.op_time` — compute time
@@ -47,10 +48,11 @@ _BYTES_PER_DIM = {
 class KernelPlan:
     """One tuned kernel configuration (the autotuner's output).
 
-    ``strategy`` selects flat (whole-database certified scan) vs grouped
-    (pruned stage-2 lists on the decode cache); ``row_chunk`` keeps the
-    flat scan's score block cache-resident; ``over_fetch`` is the ``c``
-    in the ``k' = ck`` re-rank bound surfaced in ``RunReport``.
+    ``strategy`` selects flat (whole-database certified quantized scan)
+    vs grouped (the float64 pruned stage-2 scan; no codes are built);
+    ``row_chunk`` keeps the flat scan's score block cache-resident;
+    ``over_fetch`` is the ``c`` in the ``k' = ck`` re-rank bound surfaced
+    in ``RunReport``.
     """
 
     quantizer: str = "int8"
@@ -170,42 +172,32 @@ class Autotuner:
         return (scan + select) * 1e3
 
     def _grouped_ms(self, n: int, d: int, cand_frac: float) -> float:
-        """Per-query cost of the pruned grouped stage-2 scan (float32
-        decode cache), including the per-group dispatch overhead the flat
-        path does not pay."""
+        """Per-query cost of the float64 pruned grouped scan, including the
+        per-group dispatch overhead the flat path does not pay."""
         mach = self.machine
         n_cand = max(1.0, cand_frac * n)
         scan = mach.op_time(
-            Op(kind="gemm", flops=2.0 * n_cand * d, bytes=4.0 * n_cand * d,
+            Op(kind="gemm", flops=2.0 * n_cand * d, bytes=8.0 * n_cand * d,
                vectorizable=True, tag="autotune:grouped")
         )
-        # survivor selection (bound filter + rank + float64 re-rank) over
-        # the candidates — the grouped path's analogue of the flat select;
-        # without it the model calls grouped "free" at cand_frac ~ 1 where
-        # the pruned scan is really a slower full scan
+        # survivor selection (gamma threshold + rank) over the candidates —
+        # the grouped path's analogue of the flat select; without it the
+        # model calls grouped "free" at cand_frac ~ 1 where the pruned scan
+        # is really a slower full scan
         select = mach.op_time(
-            Op(kind="reduce", flops=4.0 * n_cand, bytes=4.0 * n_cand,
+            Op(kind="reduce", flops=4.0 * n_cand, bytes=8.0 * n_cand,
                vectorizable=False, tag="autotune:grouped-select")
         )
-        # the grouped quant path re-ranks every certified survivor in
-        # float64 (the flat path re-ranks only k' = ck per query, which
-        # is negligible) — at cand_frac ~ 1 this is a second full scan,
-        # which is exactly why flat must win when pruning doesn't bite
-        rerank = mach.op_time(
-            Op(kind="gemm", flops=2.0 * n_cand * d, bytes=8.0 * n_cand * d,
-               vectorizable=True, tag="autotune:grouped-rerank")
-        )
-        scan += select + rerank
         # stage 1 against ~sqrt(n) representatives + per-group dispatch,
         # amortized over the 256-query chunks the exact search batches
         n_groups = max(1.0, n**0.5)
         stage1 = mach.op_time(
             Op(kind="gemm", flops=2.0 * n_groups * d,
-               bytes=4.0 * n_groups * d, vectorizable=True,
+               bytes=8.0 * n_groups * d, vectorizable=True,
                tag="autotune:stage1")
         )
         dispatch = n_groups * self.machine.sync_overhead_us * 1e-6 / 256.0
-        return (scan + stage1 + dispatch) * 1e3
+        return (scan + select + stage1 + dispatch) * 1e3
 
     def _row_chunk(self, n: int) -> int:
         """Largest power-of-two chunk whose float32 score block fits the

@@ -11,10 +11,10 @@ One uniform structure per build/query run, assembled from the pieces the
 * the index's **SearchStats rule counts** (pruning observables),
 * optional **machine-model replays** of the trace.
 
-The report is also the backward-compatible return type of
+The report is also the return type of
 :func:`repro.eval.harness.traced_query` / ``traced_build``: it carries the
-legacy ``QueryRun`` fields (``dist``, ``idx``, ``wall_s``, ``evals``,
-``sims``, ``sim_time``) and supports machine-name indexing
+harness fields (``dist``, ``idx``, ``wall_s``, ``evals``, ``sims``,
+``sim_time``) and supports machine-name indexing
 (``report["amd-48core"]``) as the old ``traced_build`` dict did.
 """
 

@@ -2,8 +2,39 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+
+import repro.runtime.autotune as autotune_mod
+
+
+@pytest.fixture(autouse=True)
+def _memory_tuner(monkeypatch):
+    """Keep autotuner plans in-memory so tests never touch ~/.cache."""
+    monkeypatch.setattr(
+        autotune_mod, "default_autotuner", autotune_mod.Autotuner(persist=False)
+    )
+
+
+@pytest.fixture
+def pin_plan(monkeypatch):
+    """``pin_plan(strategy)`` pins the autotuner's flat/grouped pick, so a
+    quantized index runs the scan a test names whatever the cost model
+    would choose for the test's data."""
+
+    def pin(strategy: str) -> None:
+        class Pinned(autotune_mod.Autotuner):
+            def plan_for(self, *args, **kwargs):
+                plan = super().plan_for(*args, **kwargs)
+                return dataclasses.replace(plan, strategy=strategy)
+
+        monkeypatch.setattr(
+            autotune_mod, "default_autotuner", Pinned(persist=False)
+        )
+
+    return pin
 
 
 @pytest.fixture

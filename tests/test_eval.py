@@ -6,7 +6,7 @@ import pytest
 from repro.baselines import BruteForceIndex
 from repro.core import ExactRBC
 from repro.eval import (
-    QueryRun,
+    RunReport,
     distance_ratio,
     format_table,
     geomean,
@@ -109,7 +109,7 @@ def test_traced_query_collects_everything(small_vectors):
     X, Q = small_vectors
     idx = BruteForceIndex().build(X)
     run = traced_query(idx, Q, [SEQUENTIAL, DESKTOP_QUAD], k=2)
-    assert isinstance(run, QueryRun)
+    assert isinstance(run, RunReport)
     assert run.dist.shape == (Q.shape[0], 2)
     assert run.evals == Q.shape[0] * X.shape[0]
     assert run.wall_s > 0

@@ -79,16 +79,20 @@ def test_duplicate_points_exact():
     [
         {},
         {"engine": False},
-        {"quantizer": "int8", "quant_strategy": "flat"},
-        {"quantizer": "int8", "quant_strategy": "grouped"},
+        {"quantizer": "int8", "plan": "flat"},
+        {"quantizer": "int8", "plan": "grouped"},
     ],
 )
-def test_scanned_seeds_survive_rounding(kw):
+def test_scanned_seeds_survive_rounding(kw, pin_plan):
     # Gram-trick distances of near-coincident points carry rounding error
     # relative to the norms (|x|^2 ~ 3e3 in the first set; float32 codes
-    # in the quantized scans), beyond the gamma threshold's relative slack;
-    # every numeric path must still keep the seeds its prefixes hold, or
-    # rows come back empty
+    # in the quantized flat scan), beyond the gamma threshold's relative
+    # slack; every numeric path must still keep the seeds its prefixes
+    # hold, or rows come back empty.  A quantized index runs the scan its
+    # pinned plan names: flat, or the float64 grouped search.
+    kw = dict(kw)
+    if "plan" in kw:
+        pin_plan(kw.pop("plan"))
     rng = np.random.default_rng(4)
     spike = np.full((24, 4), -27.64007288)
     spike[0, 0] = 0.0

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.baselines.base import Index as LegacyIndex
 from repro.index import (
     Capabilities,
     Index,
@@ -138,10 +137,6 @@ def test_register_unregister_custom():
     finally:
         unregister_index("custom-test")
     assert "custom-test" not in available_indexes()
-
-
-def test_legacy_base_reexports_protocol():
-    assert LegacyIndex is Index
 
 
 def test_capabilities_for_foreign_object():

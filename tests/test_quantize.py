@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import repro.runtime.autotune as autotune_mod
 from repro.core import ExactRBC, OneShotRBC
 from repro.metrics import (
     HAVE_NUMBA,
@@ -25,17 +24,9 @@ from repro.metrics import (
     set_kernel_backend,
     supports_quantization,
 )
-from repro.metrics.quantize import bound_filter, check_quantizer, quant_topk
+from repro.metrics.quantize import check_quantizer, quant_topk
 from repro.parallel import bf_knn
 from repro.runtime import Autotuner, RunReport
-
-
-@pytest.fixture(autouse=True)
-def _memory_tuner(monkeypatch):
-    """Keep autotuner plans in-memory so tests never touch ~/.cache."""
-    monkeypatch.setattr(
-        autotune_mod, "default_autotuner", autotune_mod.Autotuner(persist=False)
-    )
 
 
 def reference_knn(Q, X, k, metric="euclidean"):
@@ -115,16 +106,6 @@ def test_quant_search_k_exceeds_n():
     assert (bi[:, 4:] == -1).all()
 
 
-def test_bound_filter_keeps_true_topk(rng):
-    D = np.abs(rng.normal(size=(8, 40)))
-    resid = np.abs(rng.normal(scale=0.1, size=40))
-    true = D  # pretend D is exact; any truth within +-resid must survive
-    mask, _ = bound_filter(D, resid, 3)
-    kth = np.sort(true, axis=1)[:, 2]
-    assert ((true <= kth[:, None]) <= mask).all()
-    assert mask.sum(axis=1).min() >= 3
-
-
 FINITE = st.floats(-50, 50, allow_nan=False)
 PROP_DATA = arrays(
     np.float64,
@@ -163,26 +144,49 @@ def test_property_quant_matches_float64(X, kind, metric, k):
     "metric,kind",
     [("euclidean", "int8"), ("euclidean", "pq"), ("cosine", "float16")],
 )
-def test_exact_rbc_quant_parity(metric, kind, strategy, rng):
+def test_exact_rbc_quant_parity(metric, kind, strategy, rng, pin_plan):
+    # a flat plan runs the certified quantized scan; a grouped plan runs
+    # the float64 two-stage search itself, so it reports no quant stats
+    pin_plan(strategy)
     X = rng.normal(size=(900, 8))
     Q = rng.normal(size=(40, 8))
     plain = ExactRBC(metric=metric, seed=0).build(X, n_reps=30)
-    quant = ExactRBC(
-        metric=metric, seed=0, quantizer=kind, quant_strategy=strategy
-    ).build(X, n_reps=30)
+    quant = ExactRBC(metric=metric, seed=0, quantizer=kind).build(X, n_reps=30)
     ed, ei = plain.query(Q, k=5)
     d, i = quant.query(Q, k=5)
-    assert_same_answers(ed, ei, d, i)
-    assert quant.last_stats.quant is not None
-    assert quant.last_stats.quant["strategy"] == strategy
-    assert quant.last_stats.quant["quantizer"] == kind
+    if strategy == "grouped":
+        np.testing.assert_array_equal(i, ei)
+        np.testing.assert_array_equal(d, ed)
+        assert quant.last_stats.quant is None
+    else:
+        assert_same_answers(ed, ei, d, i)
+        assert quant.last_stats.quant["strategy"] == "flat"
+        assert quant.last_stats.quant["quantizer"] == kind
 
 
-def test_exact_rbc_quant_survives_insert_delete(rng):
+def test_grouped_plan_runs_the_float64_search(clustered):
+    # low intrinsic dimension: pruning bites, so the autotuner itself
+    # picks grouped, and a quantized index is the float64 index — same
+    # answers to the bit, no codes built, no extra memory
+    X, Q = clustered
+    plain = ExactRBC(seed=0).build(X).warm()
+    quant = ExactRBC(seed=0, quantizer="int8").build(X).warm()
+    assert quant._quant_plan().strategy == "grouped"
+    assert ("quant", "int8") not in quant._prep
+    assert quant.memory_footprint() == plain.memory_footprint()
+    for k in (1, 5):
+        ed, ei = plain.query(Q, k=k)
+        d, i = quant.query(Q, k=k)
+        np.testing.assert_array_equal(i, ei)
+        np.testing.assert_array_equal(d, ed)
+        assert quant.last_stats.quant is None
+        assert quant.last_stats.rule_counts() == plain.last_stats.rule_counts()
+
+
+def test_exact_rbc_quant_survives_insert_delete(rng, pin_plan):
+    pin_plan("flat")
     X = rng.normal(size=(300, 6))
-    quant = ExactRBC(seed=0, quantizer="int8", quant_strategy="flat").build(
-        X, n_reps=20
-    )
+    quant = ExactRBC(seed=0, quantizer="int8").build(X, n_reps=20)
     quant.query(X[:5], k=3)  # populate the quantized operand
     gid = quant.insert(rng.normal(size=6))
     quant.delete(0)
@@ -190,6 +194,7 @@ def test_exact_rbc_quant_survives_insert_delete(rng):
     live_ids = np.concatenate([np.arange(1, 300), [gid]])
     Q = rng.normal(size=(10, 6))
     d, i = quant.query(Q, k=4)
+    assert quant.last_stats.quant["strategy"] == "flat"
     ed, ei = reference_knn(Q, live, 4)
     assert_same_answers(ed, ei, d, np.searchsorted(live_ids, i))
 
@@ -214,16 +219,15 @@ def test_quant_topk_full_branch_excludes_slack(rng):
         assert sorted(kept) == list(range(8))
 
 
-def test_exact_rbc_quant_flat_full_overfetch_after_delete(rng):
+def test_exact_rbc_quant_flat_full_overfetch_after_delete(rng, pin_plan):
     """Deletions leave slack rows in the packed layout; with k large
     enough that the flat scan's over-fetch width covers every live row,
     answers must stay id-identical to brute force over the live points —
     no duplicated ids, no tombstoned ids (the historical failure returned
     global id 0 in multiple slots after id 0 itself was deleted)."""
+    pin_plan("flat")
     X = rng.normal(size=(60, 5))
-    quant = ExactRBC(seed=0, quantizer="int8", quant_strategy="flat").build(
-        X, n_reps=8
-    )
+    quant = ExactRBC(seed=0, quantizer="int8").build(X, n_reps=8)
     deleted = [0, 3, 7, 11, 19, 23, 31, 37, 42, 45, 48, 51, 54, 57, 59]
     for gid in deleted:
         quant.delete(gid)
@@ -231,6 +235,7 @@ def test_exact_rbc_quant_flat_full_overfetch_after_delete(rng):
     Q = rng.normal(size=(8, 5))
     # k=12 -> width = 4*12+1 = 49 > 45 live rows: the full branch runs
     d, i = quant.query(Q, k=12)
+    assert quant.last_stats.quant["strategy"] == "flat"
     assert not np.isin(i, deleted).any()
     for row in i:
         kept = row[row >= 0]
@@ -241,7 +246,8 @@ def test_exact_rbc_quant_flat_full_overfetch_after_delete(rng):
     assert quant.last_stats.candidates_examined == len(Q) * len(live_ids)
 
 
-def test_warm_builds_quant_operand(rng):
+def test_warm_builds_quant_operand(rng, pin_plan):
+    pin_plan("flat")
     X = rng.normal(size=(400, 8))
     idx = ExactRBC(seed=0, quantizer="int8").build(X, n_reps=20)
     base = idx.memory_footprint()
@@ -251,43 +257,41 @@ def test_warm_builds_quant_operand(rng):
     assert idx.memory_footprint() > base  # codes counted in the footprint
 
 
-@pytest.mark.parametrize("n_probes", [1, 3])
-def test_oneshot_quant_parity(n_probes, clustered):
-    X, Q = clustered
-    plain = OneShotRBC(seed=0).build(X, n_reps=60)
-    quant = OneShotRBC(seed=0, quantizer="int8").build(X, n_reps=60)
-    ed, ei = plain.query(Q, k=4, n_probes=n_probes)
-    d, i = quant.query(Q, k=4, n_probes=n_probes)
-    assert_same_answers(ed, ei, d, i)
-    assert quant.last_stats.quant is not None
-
-
-def test_quant_answers_keep_k_columns():
-    # fewer candidates than k: every quantized path pads its answer to
-    # (m, k) with inf / -1, exactly like the float64 search it mirrors
+def test_quant_answers_keep_k_columns(pin_plan):
+    # fewer candidates than k: the flat scan pads its answer to (m, k)
+    # with inf / -1, exactly like the float64 search it mirrors
+    pin_plan("flat")
     rng = np.random.default_rng(0)
     X = rng.normal(size=(12, 4))
     Q = rng.normal(size=(3, 4))
     k = 15
-    for cls, kw in (
-        (ExactRBC, {"quant_strategy": "flat"}),
-        (ExactRBC, {"quant_strategy": "grouped"}),
-        (OneShotRBC, {}),
-    ):
-        ed, ei = cls(seed=0).build(X).query(Q, k=k)
-        d, i = cls(seed=0, quantizer="int8", **kw).build(X).query(Q, k=k)
-        assert d.shape == i.shape == (3, k), (cls.__name__, kw)
-        np.testing.assert_array_equal(i, ei)
-        assert_same_answers(ed, ei, d, i)
+    ed, ei = ExactRBC(seed=0).build(X).query(Q, k=k)
+    quant = ExactRBC(seed=0, quantizer="int8").build(X)
+    d, i = quant.query(Q, k=k)
+    assert quant.last_stats.quant["strategy"] == "flat"
+    assert d.shape == i.shape == (3, k)
+    np.testing.assert_array_equal(i, ei)
+    assert_same_answers(ed, ei, d, i)
 
 
 def test_quantizer_arg_validation(rng):
     with pytest.raises(ValueError):
         ExactRBC(quantizer="int4")
     with pytest.raises(ValueError):
-        ExactRBC(quantizer="int8", quant_strategy="diagonal")
-    with pytest.raises(ValueError):
         ExactRBC(metric="chebyshev", quantizer="int8")
+
+
+def test_removed_quant_options_raise_type_error():
+    # the autotuner's plan is the one flat/grouped switch, and the
+    # one-shot search scans no codes
+    with pytest.raises(TypeError):
+        ExactRBC(quantizer="int8", quant_strategy="flat")
+    with pytest.raises(TypeError):
+        OneShotRBC(quantizer="int8")
+    with pytest.raises(TypeError):
+        OneShotRBC(quant_strategy="flat")
+    assert not OneShotRBC().capabilities().quantizable
+    assert ExactRBC().capabilities().quantizable
 
 
 # --------------------------------------------------------------- bf_knn

@@ -65,6 +65,30 @@ def test_float32_archive_loads_as_float64(small_vectors, tmp_path):
     np.testing.assert_array_equal(d1, d0)
 
 
+@pytest.mark.parametrize("cls", [ExactRBC, OneShotRBC])
+def test_deletions_survive_roundtrip(cls, tmp_path):
+    # deleted rows stay in X (ids are stable), so the live mask must be
+    # saved too, or a reload brings them back as live points
+    X = np.random.default_rng(0).normal(size=(500, 4))
+    orig = cls(seed=0).build(X)
+    for gid in (3, 10, 42):
+        orig.delete(gid)
+    path = tmp_path / "deleted.npz"
+    save_index(orig, path)
+    clone = load_index(path)
+    assert clone.n_active == orig.n_active == 497
+    np.testing.assert_array_equal(clone.active_ids, orig.active_ids)
+    version = clone._version
+    with pytest.raises(ValueError, match="deleted"):
+        clone.delete(3)
+    assert clone._version == version and clone.n_active == 497
+    if cls is ExactRBC:
+        # the autotuner's input reads the same live rows
+        assert clone._estimate_candidate_fraction() == pytest.approx(
+            orig._estimate_candidate_fraction()
+        )
+
+
 def test_unbuilt_rejected(tmp_path):
     with pytest.raises(ValueError, match="unbuilt"):
         save_index(ExactRBC(), tmp_path / "x.npz")
