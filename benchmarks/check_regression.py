@@ -16,6 +16,11 @@ Metrics present in the baseline but missing fresh fail too (a deleted
 benchmark silently dropping perf coverage); metrics only in the fresh
 file are reported and skipped, so new benchmarks can land one PR before
 their baseline does.
+
+Implausible wins fail as well, in the baseline or the fresh file: a
+speedup above the ceiling that the measured configuration allows (see
+``CEILINGS``) comes from a broken measurement, and passing it would hide
+the breakage as a win.
 """
 
 from __future__ import annotations
@@ -76,6 +81,23 @@ TRACKED = {
 }
 
 
+#: BENCH file -> (metric path, ceiling path, why): the metric may not
+#: exceed the largest value at the ceiling path
+CEILINGS = {
+    "BENCH_cluster.json": (
+        "scaling",
+        "nodes[].n_shards",
+        "n shards cannot serve more than n times one shard's throughput",
+    ),
+    "BENCH_serving.json": (
+        "speedup",
+        "batched.mean_batch",
+        "a batch of b queries costs at least a batch of one, so batching "
+        "cannot buy more than b",
+    ),
+}
+
+
 def _walk(payload, dotted: str):
     """Yield (label_suffix, value) for a dotted path, fanning out lists."""
     head, _, rest = dotted.partition(".")
@@ -122,6 +144,25 @@ def extract(path: Path, tracked: dict[str, str]) -> dict[str, float]:
                 name = label.format(**{k: holder.get(k) for k in keys})
             out[name] = float(value)
     return out
+
+
+def implausible(path: Path) -> list[str]:
+    """Failure lines for a win the file's own configuration rules out."""
+    rule = next(
+        (r for name, r in CEILINGS.items() if path.name.endswith(name)), None
+    )
+    if rule is None:
+        return []
+    metric, ceiling, why = rule
+    payload = json.loads(path.read_text())
+    values = [float(v) for _, v in _walk(payload, metric)]
+    caps = [float(v) for _, v in _walk(payload, ceiling)]
+    if not values or not caps or values[0] <= max(caps):
+        return []
+    return [
+        f"{path}: {metric} {values[0]:.3f} exceeds {ceiling} "
+        f"{max(caps):.3f}, an implausible win ({why})"
+    ]
 
 
 def compare(
@@ -204,10 +245,14 @@ def main(argv=None) -> int:
         )
         print("\n".join(lines))
         all_failures.extend(failures)
+        for line in implausible(base_path) + implausible(fresh_path):
+            print(f"  IMPLAUSIBLE {line}")
+            all_failures.append(line)
 
     if all_failures:
         print(f"\n{len(all_failures)} regression(s) past the "
-              f"{args.tolerance:.0%} floor:", file=sys.stderr)
+              f"{args.tolerance:.0%} floor or implausible win(s):",
+              file=sys.stderr)
         for f in all_failures:
             print(f"  {f}", file=sys.stderr)
         return 1

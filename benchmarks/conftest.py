@@ -13,22 +13,14 @@ experiment index in DESIGN.md §3).  Output conventions:
 
 from __future__ import annotations
 
+import os
 import pathlib
+import platform
 
 import numpy as np
 import pytest
 
-import repro.runtime.autotune as autotune_mod
-
 OUT_DIR = pathlib.Path(__file__).parent / "out"
-
-
-@pytest.fixture(autouse=True)
-def _memory_tuner(monkeypatch):
-    """Keep autotuner plans in-memory so benchmarks never touch ~/.cache."""
-    monkeypatch.setattr(
-        autotune_mod, "default_autotuner", autotune_mod.Autotuner(persist=False)
-    )
 
 
 @pytest.fixture
@@ -51,6 +43,32 @@ def report(out_dir):
         (out_dir / f"{name}.txt").write_text(text + "\n")
 
     return _report
+
+
+def host_stamp() -> dict:
+    """Facts about the host a BENCH file was recorded on, as ``bench/``
+    stamps its results: wall-clock numbers only compare on equal facts."""
+    cpu = platform.processor() or "unknown"
+    try:
+        with open("/proc/cpuinfo") as f:
+            cpu = next(
+                (ln.split(":", 1)[1].strip() for ln in f if ln.startswith("model name")),
+                cpu,
+            )
+    except OSError:
+        pass
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):  # no dict form before numpy 1.25
+        blas = "unknown"
+    return {
+        "cpu": cpu,
+        "nproc": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas,
+    }
 
 
 def bench_once(benchmark, fn):

@@ -23,12 +23,12 @@ import json
 import pathlib
 
 import numpy as np
-from conftest import bench_once
+from conftest import bench_once, host_stamp
 
 from repro.core import ExactRBC
 from repro.distributed import ClusterSpec
 from repro.eval import format_table
-from repro.serving import BatchPolicy, HedgePolicy, ShardedStreamingSearcher
+from repro.serving import BatchPolicy, ShardedStreamingSearcher
 from repro.serving.searcher import StreamingSearcher
 from repro.simulator import DESKTOP_QUAD
 
@@ -76,7 +76,7 @@ def test_cluster_serving(rng, report, benchmark, out_dir):
         with StreamingSearcher(index, k=K, policy=policy) as base:
             want = base.search_stream(Q, qps=QPS_SATURATE, name="single-node")
         reports = [run_shards(s) for s in SHARD_COUNTS]
-        return want, reports, run_hedge(None), run_hedge(HedgePolicy())
+        return want, reports, run_hedge(False), run_hedge(True)
 
     want, reports, unhedged, hedged = bench_once(benchmark, experiment)
 
@@ -114,6 +114,7 @@ def test_cluster_serving(rng, report, benchmark, out_dir):
     )
 
     payload = {
+        "host": host_stamp(),
         "config": {
             "n": N,
             "dim": DIM,

@@ -44,7 +44,6 @@ from .parallel import bf_knn, bf_nn, bf_range
 from .runtime import ExecContext, RunReport, StreamReport
 from .serving import (
     BatchPolicy,
-    HedgePolicy,
     ShardedStreamingSearcher,
     StreamingSearcher,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "create_index",
     "ExactRBC",
     "ExecContext",
-    "HedgePolicy",
     "MetricsRegistry",
     "OneShotRBC",
     "RunReport",

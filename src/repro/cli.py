@@ -254,7 +254,6 @@ def _cmd_serve_bench(args) -> int:
     from .serving import (
         BatchPolicy,
         CachePolicy,
-        HedgePolicy,
         ShardedStreamingSearcher,
         StreamingSearcher,
         make_scenario,
@@ -332,7 +331,7 @@ def _cmd_serve_bench(args) -> int:
                 slo=slo,
                 n_shards=args.shards,
                 replicas=args.replicas,
-                hedge=HedgePolicy() if args.replicas > 1 else None,
+                hedge=args.replicas > 1,
                 cache=cache,
                 quality=quality,
                 flight=flight,

@@ -459,10 +459,8 @@ class ExactRBC(RBCBase):
         from ..runtime.autotune import default_autotuner
 
         plan = default_autotuner.plan_for(
-            type(self).__name__.lower(),
             self.n,
             int(self.metric.dim(self.X)),
-            kernel=self.metric.prepared_kernel,
             quantizer=None if self.quantizer == "auto" else self.quantizer,
             cand_frac=self._estimate_candidate_fraction(),
         )

@@ -9,7 +9,7 @@ merge semantics that keep the legacy ``recorder=``/``executor=`` kwargs
 working unchanged.
 """
 
-from .autotune import Autotuner, KernelPlan, autotune_cache_path, default_autotuner
+from .autotune import Autotuner, KernelPlan, default_autotuner
 from .context import ExecContext, Observation, TimingRecorder, resolve_ctx
 from .report import (
     LatencyStats,
@@ -22,7 +22,6 @@ from .report import (
 __all__ = [
     "Autotuner",
     "KernelPlan",
-    "autotune_cache_path",
     "default_autotuner",
     "ExecContext",
     "Observation",

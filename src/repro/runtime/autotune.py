@@ -14,26 +14,20 @@ on ``(n, d, code kind, backend)`` and the machine, which is exactly what
 :class:`Autotuner` prices both strategies with the roofline arithmetic
 of :meth:`~repro.simulator.machine.MachineSpec.op_time` — compute time
 vs bytes-over-bandwidth, plus a per-group synchronization term for the
-grouped path — picks the cheaper one, and persists the decision as a
-:class:`KernelPlan` keyed by ``(algo, log2 n, d, kernel, backend,
-cand_frac decile)``.
-The JSON plan cache (``REPRO_AUTOTUNE_CACHE`` or
-``~/.cache/repro/autotune.json``) survives processes, so a serving
-front-end gets tuned kernels at ``warm()`` without re-deriving anything.
+grouped path — and returns the cheaper one as a :class:`KernelPlan`.
+Pricing is microseconds of arithmetic; the index caches its plan per
+version, next to the pruning probe that feeds it.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import tempfile
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field
 
 from ..simulator.machine import AMD_48CORE, DESKTOP_QUAD, MachineSpec
 from ..simulator.trace import Op
 
-__all__ = ["KernelPlan", "Autotuner", "default_autotuner", "autotune_cache_path"]
+__all__ = ["KernelPlan", "Autotuner", "default_autotuner"]
 
 #: bytes one scanned row moves per code kind (per dimension); the numpy
 #: backend always streams the float32 decode cache
@@ -63,22 +57,6 @@ class KernelPlan:
     cand_frac: float = 1.0  # pruning estimate the plan was priced with
     predicted_ms: dict = field(default_factory=dict)  # strategy -> ms/query
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "KernelPlan":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in d.items() if k in known})
-
-
-def autotune_cache_path() -> Path:
-    """Where tuned plans persist across processes."""
-    env = os.environ.get("REPRO_AUTOTUNE_CACHE")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "repro" / "autotune.json"
-
 
 def _default_machine() -> MachineSpec:
     cpus = os.cpu_count() or 4
@@ -86,7 +64,7 @@ def _default_machine() -> MachineSpec:
 
 
 class Autotuner:
-    """Price the scan strategies on a machine model and remember the pick.
+    """Price the scan strategies on a machine model and pick the cheaper.
 
     Parameters
     ----------
@@ -97,9 +75,6 @@ class Autotuner:
         last-level cache size assumed when sizing the flat scan's query
         chunk (the score block should stay resident between the GEMM and
         the selection pass).
-    path:
-        plan-cache file; ``None`` uses :func:`autotune_cache_path`.
-        ``persist=False`` keeps the tuner purely in-memory.
     """
 
     def __init__(
@@ -107,53 +82,9 @@ class Autotuner:
         machine: MachineSpec | None = None,
         *,
         cache_bytes: int = 8 << 20,
-        path: str | os.PathLike | None = None,
-        persist: bool = True,
     ) -> None:
         self.machine = machine or _default_machine()
         self.cache_bytes = int(cache_bytes)
-        self.persist = bool(persist)
-        self._path = Path(path) if path is not None else None
-        self._plans: dict[str, KernelPlan] | None = None
-
-    # ------------------------------------------------------------ storage
-    @property
-    def path(self) -> Path:
-        return self._path if self._path is not None else autotune_cache_path()
-
-    def _load(self) -> dict[str, KernelPlan]:
-        if self._plans is not None:
-            return self._plans
-        plans: dict[str, KernelPlan] = {}
-        if self.persist and self.path.exists():
-            try:
-                raw = json.loads(self.path.read_text())
-                plans = {
-                    k: KernelPlan.from_dict(v) for k, v in raw.items()
-                }
-            except (OSError, ValueError, TypeError):
-                plans = {}  # corrupt cache: retune rather than crash
-        self._plans = plans
-        return plans
-
-    def _save(self) -> None:
-        if not self.persist or self._plans is None:
-            return
-        try:
-            path = self.path
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=str(path.parent), suffix=".tmp"
-            )
-            with os.fdopen(fd, "w") as fh:
-                json.dump(
-                    {k: p.to_dict() for k, p in self._plans.items()},
-                    fh,
-                    indent=2,
-                )
-            os.replace(tmp, path)
-        except OSError:
-            pass  # read-only home: plans stay in-memory for this process
 
     # --------------------------------------------------------- cost model
     def _flat_ms(self, n: int, d: int, quantizer: str, backend: str) -> float:
@@ -210,11 +141,9 @@ class Autotuner:
     # ---------------------------------------------------------- interface
     def plan_for(
         self,
-        algo: str,
         n: int,
         d: int,
         *,
-        kernel: str = "gram",
         backend: str | None = None,
         quantizer: str | None = None,
         cand_frac: float = 1.0,
@@ -223,11 +152,7 @@ class Autotuner:
 
         ``cand_frac`` is the caller's estimate of the fraction of the
         database surviving the pruning rules (``ExactRBC`` probes it
-        cheaply at ``warm()``); it decides the flat-vs-grouped race, so
-        it is part of the memo key (bucketed to deciles — the race is a
-        coarse crossover, and fine-grained keys would shatter the cache).
-        Results are memoized per ``(algo, log2 n, d, kernel, backend,
-        cand_frac decile)`` and persisted.
+        cheaply at ``warm()``); it decides the flat-vs-grouped race.
         """
         if backend is None:
             from ..metrics.jit import kernel_backend
@@ -235,22 +160,10 @@ class Autotuner:
             backend = kernel_backend(quantizer)
         n = max(int(n), 1)
         cf = min(max(float(cand_frac), 0.0), 1.0)
-        cf_bucket = int(round(cf * 10.0))
-        key = (
-            f"{algo}|n{max(n, 2).bit_length() - 1}|d{d}|{kernel}|{backend}"
-            f"|cf{cf_bucket}"
-        )
-        plans = self._load()
-        cached = plans.get(key)
-        if cached is not None and (
-            quantizer is None or cached.quantizer == quantizer
-        ):
-            return cached
-
         q = quantizer or ("pq" if backend == "numba" and d >= 64 else "int8")
         flat_ms = self._flat_ms(n, d, q, backend)
         grouped_ms = self._grouped_ms(n, d, cand_frac)
-        plan = KernelPlan(
+        return KernelPlan(
             quantizer=q,
             strategy="flat" if flat_ms <= grouped_ms else "grouped",
             backend=backend,
@@ -261,9 +174,6 @@ class Autotuner:
                 "flat": round(flat_ms, 6), "grouped": round(grouped_ms, 6)
             },
         )
-        plans[key] = plan
-        self._save()
-        return plan
 
 
 #: process-wide tuner the index classes consult at ``warm()``

@@ -29,7 +29,7 @@ from .scenarios import (
     observe_scenario,
 )
 from .searcher import StreamingSearcher
-from .sharded import HedgePolicy, ShardedStreamingSearcher
+from .sharded import ShardedStreamingSearcher
 
 __all__ = [
     "BatchPolicy",
@@ -43,6 +43,5 @@ __all__ = [
     "make_scenario",
     "observe_scenario",
     "StreamingSearcher",
-    "HedgePolicy",
     "ShardedStreamingSearcher",
 ]

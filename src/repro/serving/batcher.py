@@ -31,6 +31,20 @@ from dataclasses import dataclass
 
 __all__ = ["BatchPolicy", "QueryBatcher"]
 
+#: climb threshold: move up the ladder when the level above delivers at
+#: least this factor of the current level's measured throughput
+GROWTH = 1.05
+#: smoothing weight of the per-level throughput estimates (weight of the
+#: newest observation)
+EWMA = 0.3
+#: multiplier on the service-time estimate inside the deadline rule —
+#: headroom for estimate error, so a mispredicted batch does not blow the
+#: budget
+SAFETY = 1.25
+#: never target a batch whose estimated service time exceeds this fraction
+#: of ``max_delay_ms`` (the rest of the budget is left for queueing)
+SERVICE_FRACTION = 0.5
+
 
 @dataclass(frozen=True)
 class BatchPolicy:
@@ -44,37 +58,17 @@ class BatchPolicy:
     max_batch / min_batch:
         hard bounds on the dispatch size (``max_batch=1`` degenerates to
         per-query dispatch — the serving baseline).
-    growth:
-        climb threshold: move up the ladder when the level above delivers
-        at least this factor of the current level's measured throughput.
-    ewma:
-        smoothing weight of the per-level throughput estimates (weight of
-        the newest observation).
-    safety:
-        multiplier on the service-time estimate inside the deadline rule —
-        headroom for estimate error, so a mispredicted batch does not blow
-        the budget.
-    service_fraction:
-        cap: never target a batch whose estimated service time exceeds
-        this fraction of ``max_delay_ms`` (the rest of the budget is left
-        for queueing).
     """
 
     max_delay_ms: float = 50.0
     max_batch: int = 256
     min_batch: int = 1
-    growth: float = 1.05
-    ewma: float = 0.3
-    safety: float = 1.25
-    service_fraction: float = 0.5
 
     def __post_init__(self) -> None:
         if self.max_delay_ms <= 0:
             raise ValueError("max_delay_ms must be positive")
         if not 1 <= self.min_batch <= self.max_batch:
             raise ValueError("need 1 <= min_batch <= max_batch")
-        if not 0 < self.ewma <= 1:
-            raise ValueError("ewma must be in (0, 1]")
 
     @property
     def max_delay_s(self) -> float:
@@ -178,8 +172,7 @@ class QueryBatcher:
         lvl = self._level_of(size)
         rate = size / max(float(service_s), 1e-9)
         prev = self._rate.get(lvl)
-        a = self.policy.ewma
-        self._rate[lvl] = rate if prev is None else (1 - a) * prev + a * rate
+        self._rate[lvl] = rate if prev is None else (1 - EWMA) * prev + EWMA * rate
         self._adapt()
 
     def _adapt(self) -> None:
@@ -192,13 +185,13 @@ class QueryBatcher:
                 # unexplored levels are climbed optimistically: the batched
                 # kernel's economies of scale make "bigger is faster" the
                 # right prior, and a bad level is measured once and left
-                if up_rate is None or up_rate >= self.policy.growth * cur:
+                if up_rate is None or up_rate >= GROWTH * cur:
                     self._lvl = up
             down = self._lvl - 1
             if down >= 0 and rates.get(down, 0.0) > rates.get(self._lvl, cur):
                 self._lvl = down
         # never target a batch whose service alone would eat the budget
-        budget = self.policy.service_fraction * self.policy.max_delay_s
+        budget = SERVICE_FRACTION * self.policy.max_delay_s
         while self._lvl > 0 and (
             self.service_estimate(self._levels[self._lvl]) > budget
         ):
@@ -227,7 +220,7 @@ class QueryBatcher:
             return None
         oldest = self._items[0][1]
         est = self.service_estimate(len(self._items))
-        return oldest + self.policy.max_delay_s - self.policy.safety * est
+        return oldest + self.policy.max_delay_s - SAFETY * est
 
     def take(self, now: float) -> list[tuple[object, float]]:
         """Pop the batch to dispatch: up to the controller's current

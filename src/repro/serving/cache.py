@@ -22,7 +22,7 @@ every outside point ``p'``::
 
 so ``delta <= r`` implies the cached id set *is* ``q``'s exact top-``k``
 set — the hit is **certificate-checked**, never heuristic.  Hits are
-optionally re-scored through the paired kernel
+re-scored through the paired kernel
 (:func:`~repro.metrics.engine.rescore_pairs`) so the returned distances
 are exact for the *new* query, and re-ranked with the same structural
 tie-break the batched stage-2 kernels use, keeping cache-served rows
@@ -57,32 +57,27 @@ __all__ = ["CachePolicy", "CacheCounters", "ProximityCache"]
 #: padding): sorts after any real candidate among equal distances
 _RANK_FAR = np.iinfo(np.int64).max // 2
 
+#: relative shrink of every certified radius before it is trusted,
+#: absorbing the few-ulp float error between the exact real arithmetic of
+#: the certificate and the computed distances; it costs a vanishing
+#: fraction of hits and buys the zero-recall guarantee back from floating
+#: point
+RADIUS_SAFETY = 1e-9
+
 
 @dataclass(frozen=True)
 class CachePolicy:
-    """Knobs of a :class:`ProximityCache`.
-
-    ``safety`` relatively shrinks every certified radius before it is
-    trusted, absorbing the few-ulp float error between the exact real
-    arithmetic of the certificate and the computed distances; it costs a
-    vanishing fraction of hits and buys the zero-recall guarantee back
-    from floating point.  ``rescore=False`` returns the *key's* distances
-    on a hit (ids stay exact) — leave it on unless the metric's paired
-    kernel dominates your hit cost.
-    """
+    """Knobs of a :class:`ProximityCache`: its capacity (LRU eviction
+    beyond ``max_entries``) and each entry's time to live."""
 
     max_entries: int = 2048
     ttl_s: float = math.inf
-    safety: float = 1e-9
-    rescore: bool = True
 
     def __post_init__(self) -> None:
         if self.max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         if not self.ttl_s > 0:
             raise ValueError("ttl_s must be positive")
-        if not 0.0 <= self.safety < 1.0:
-            raise ValueError("safety must be in [0, 1)")
 
 
 class CacheCounters:
@@ -182,7 +177,6 @@ class ProximityCache:
         self._d = d
         #: compact entry store: row i of each array is one live entry
         self._keys = np.zeros((0, d))
-        self._dist = np.zeros((0, self.k))
         self._idx = np.zeros((0, self.k), dtype=np.int64)
         self._radius = np.zeros(0)
         self._born = np.zeros(0)
@@ -283,7 +277,6 @@ class ProximityCache:
             return out
 
         self._keys = widen(self._keys)
-        self._dist = widen(self._dist)
         self._idx = widen(self._idx)
         self._radius = widen(self._radius)
         self._born = widen(self._born)
@@ -296,7 +289,6 @@ class ProximityCache:
             if r != last:
                 for a in (
                     self._keys,
-                    self._dist,
                     self._idx,
                     self._radius,
                     self._born,
@@ -384,18 +376,14 @@ class ProximityCache:
         rows = np.flatnonzero(ok)
         ent = j[rows]
         self._used[ent] = now
-        hd = self._dist[ent].copy()
-        hi = self._idx[ent].copy()
-        if self.policy.rescore:
-            d_re = rescore_pairs(self.metric, Qb[rows], self.index.X, hi)
-            ranks = self._struct_ranks()
-            r_keys = np.where(
-                hi >= 0, ranks[np.clip(hi, 0, None)], _RANK_FAR
-            )
-            order = np.lexsort((r_keys, d_re))
-            hd = np.take_along_axis(d_re, order, axis=1)
-            hi = np.take_along_axis(hi, order, axis=1)
-            hi = np.where(np.isfinite(hd), hi, -1)
+        hi = self._idx[ent]
+        d_re = rescore_pairs(self.metric, Qb[rows], self.index.X, hi)
+        ranks = self._struct_ranks()
+        r_keys = np.where(hi >= 0, ranks[np.clip(hi, 0, None)], _RANK_FAR)
+        order = np.lexsort((r_keys, d_re))
+        hd = np.take_along_axis(d_re, order, axis=1)
+        hi = np.take_along_axis(hi, order, axis=1)
+        hi = np.where(np.isfinite(hd), hi, -1)
         return hit, hd, hi
 
     # --------------------------------------------------------------- admit
@@ -431,7 +419,7 @@ class ProximityCache:
         radius = np.where(np.isnan(radius), np.inf, radius)
         finite = np.isfinite(radius)
         radius[finite] = np.maximum(
-            0.0, radius[finite] * (1.0 - self.policy.safety)
+            0.0, radius[finite] * (1.0 - RADIUS_SAFETY)
         )
         keep = ~np.isnan(d_k1)
         take = np.flatnonzero(keep)[: self.policy.max_entries]
@@ -450,7 +438,6 @@ class ProximityCache:
         lo = self._n
         hi = lo + int(take.size)
         self._keys[lo:hi] = Qb[take]
-        self._dist[lo:hi] = dist[take, : self.k]
         self._idx[lo:hi] = idx[take, : self.k]
         self._radius[lo:hi] = radius[take]
         self._born[lo:hi] = now

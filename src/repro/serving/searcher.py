@@ -19,21 +19,28 @@ a ``max_batch=256`` server produce bit-identical distances, and the
 regression tests compare them with ``==``.  The pruning-rule counters are
 likewise batching-invariant (summed over micro-batches).
 
-**Measurement.**  :meth:`search_stream` replays an arrival trace on a
-*virtual clock*: arrivals and flush deadlines advance simulated time,
-while each dispatched batch contributes its real measured service wall
-time.  Nothing sleeps, so a 10-second trace replays in the time the
-kernels actually take, and the recorded per-query sojourn latencies
-(arrival to answer, queueing included) are reproducible modulo kernel
-timing noise.  The result is a :class:`~repro.runtime.report.StreamReport`
-— the standard :class:`~repro.runtime.report.RunReport` observables plus
-throughput, batch shape, and latency percentiles.
+**One serving loop.**  A query enters through one enqueue step (ticket,
+root span, batcher entry) and leaves through one dispatch step,
+:meth:`StreamingSearcher._flush`, which forms, serves, times, answers,
+traces and observes a batch.  The live :meth:`~StreamingSearcher.submit`
+/ :meth:`~StreamingSearcher.tick` / :meth:`~StreamingSearcher.poll` path
+calls both on the wall clock.
+
+**Measurement.**  :meth:`~StreamingSearcher.search_stream` calls the same
+two steps on a *virtual clock*: arrivals and flush deadlines advance
+simulated time, while each dispatched batch contributes its real measured
+service wall time.  Nothing sleeps, so a 10-second trace replays in the
+time the kernels actually take, and the recorded per-query sojourn
+latencies (arrival to answer, queueing included) are reproducible modulo
+kernel timing noise.  The result is a
+:class:`~repro.runtime.report.StreamReport` — the standard
+:class:`~repro.runtime.report.RunReport` observables plus throughput,
+batch shape, and latency percentiles.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 
 import numpy as np
 
@@ -76,11 +83,6 @@ class StreamingSearcher:
         execution context for the dispatched queries (executor backend,
         tracer, ...).  String executor specs resolve to registry-resident
         pools, so workers persist across micro-batches.
-    rescore:
-        re-score returned candidates with the batching-invariant paired
-        kernel (see module docstring).  Leave on; turning it off trades
-        the bit-identity guarantee for skipping one ``(m, k)`` paired
-        pass.
     slo:
         optional :class:`~repro.obs.slo.SLOMonitor` fed every served
         query's sojourn latency; its breach callback is wired to
@@ -99,8 +101,8 @@ class StreamingSearcher:
         radius are answered from cache with zero recall loss, everything
         else falls through to the index.  Pass an existing cache, a
         :class:`~repro.serving.cache.CachePolicy`, or ``True`` for the
-        default policy.  Requires an exact index over a true metric with
-        rescoring available (the certificate math needs all three); the
+        default policy.  Requires an exact index over a true metric that
+        can be rescored (the certificate math needs all three); the
         searcher over-fetches ``k + 1`` neighbors on misses to learn each
         entry's radius, and still serves ``k`` per answer.
     quality:
@@ -142,7 +144,6 @@ class StreamingSearcher:
         k: int = 1,
         policy: BatchPolicy | None = None,
         ctx: ExecContext | None = None,
-        rescore: bool = True,
         slo: SLOMonitor | None = None,
         metrics: MetricsRegistry | None = None,
         cache: ProximityCache | CachePolicy | bool | None = None,
@@ -161,7 +162,9 @@ class StreamingSearcher:
         self.ctx = resolve_ctx(ctx).overriding(base)
         self.query_kwargs = dict(query_kwargs)
         self.batcher = QueryBatcher(self.policy)
-        self.rescore = bool(rescore) and self._can_rescore(index)
+        #: re-score every answer with the batching-invariant paired kernel
+        #: (see module docstring) whenever the index declares it can
+        self.rescore = capabilities_for(index).rescorable
         self.cache: ProximityCache | None = None
         if cache is not None and cache is not False:
             if not self.rescore:
@@ -291,14 +294,6 @@ class StreamingSearcher:
         if capabilities_for(index).warmable and not self.ctx.uses_processes:
             index.warm(self.ctx)
         self.residency = DatasetResidency(index, self.ctx)
-
-    @staticmethod
-    def _can_rescore(index) -> bool:
-        """Rescoring is a declared capability now: backends opt in through
-        ``capabilities().rescorable`` (the protocol's default resolves it
-        against the live metric/database state; foreign duck-typed indexes
-        get the same structural fallback via ``capabilities_for``)."""
-        return capabilities_for(index).rescorable
 
     # ------------------------------------------------------------ lifecycle
     def close(self) -> None:
@@ -645,15 +640,33 @@ class StreamingSearcher:
             for s in sojourns:
                 self._m_sojourn.observe(s)
 
-    def _flush(self, now: float) -> tuple[int, float]:
-        """Dispatch the batch due at ``now``; answers land in ``_done``.
+    def _enqueue(self, row: np.ndarray, now: float, explain: bool = False) -> int:
+        """The one enqueue step: ticket, root span, batcher entry."""
+        ticket = self._next_ticket
+        self._next_ticket += 1
+        if explain:
+            self._explain_tickets.add(ticket)
+        tracer = self.ctx.tracer
+        if tracer.enabled:
+            # each query gets a root span; outside any open span this
+            # starts a fresh trace, so one trace = one query's causal tree
+            self._qspans[ticket] = tracer.start_span(
+                "serve:query", ticket=ticket
+            )
+        self.batcher.add((ticket, row), now)
+        return ticket
 
-        Returns ``(batch_size, service_s)`` with the *measured* service
-        wall time (also fed to the batcher's controller).
+    def _flush(self, now: float) -> tuple[list[int], float]:
+        """The one dispatch step: serve the batch due at ``now``.
+
+        Answers land in ``_done``; returns the served tickets and the
+        batch's completion time ``now + service`` (the service time is
+        measured, or modeled by :meth:`_timed_dispatch`, and also fed to
+        the batcher's controller).
         """
         items = self.batcher.take(now)
         if not items:
-            return 0, 0.0
+            return [], now
         tickets = [t for (t, _q), _arr in items]
         Qb = np.stack([q for (_t, q), _arr in items])
         tracer = self.ctx.tracer
@@ -673,7 +686,12 @@ class StreamingSearcher:
             self._done[ticket] = (dist[row], idx[row])
             span = qspans[row]
             if span is not None:
-                tracer.finish(span.set(batch=len(items)))
+                arr = items[row][1]
+                tracer.finish(
+                    span.set(
+                        batch=len(items), wait_s=now - arr, sojourn_s=done_t - arr
+                    )
+                )
             if ticket in self._explain_tickets:
                 self._explain_tickets.discard(ticket)
                 e = self._explain_from_info(row=row, ticket=ticket)
@@ -681,7 +699,7 @@ class StreamingSearcher:
                 if self.flight is not None:
                     self.flight.record_explain(e)
         self._observe_served([done_t - arr for _p, arr in items], done_t)
-        return len(items), service
+        return tickets, done_t
 
     # ------------------------------------------------------------- live API
     def submit(
@@ -700,19 +718,8 @@ class StreamingSearcher:
             row = row[0]
         if row.ndim != 1:
             raise ValueError("submit() takes one query vector at a time")
-        ticket = self._next_ticket
-        self._next_ticket += 1
-        if explain:
-            self._explain_tickets.add(ticket)
         now = time.perf_counter() if now is None else float(now)
-        tracer = self.ctx.tracer
-        if tracer.enabled:
-            # each live query gets a root span; outside any open span this
-            # starts a fresh trace, so one trace = one query's causal tree
-            self._qspans[ticket] = tracer.start_span(
-                "serve:query", ticket=ticket
-            )
-        self.batcher.add((ticket, row), now)
+        ticket = self._enqueue(row, now, explain)
         if self.batcher.ready(now):
             self._flush(now)
         return ticket
@@ -731,10 +738,10 @@ class StreamingSearcher:
         now = time.perf_counter() if now is None else float(now)
         n = 0
         while self.batcher.ready(now):
-            size, _service = self._flush(now)
-            if size == 0:
+            tickets, _done_t = self._flush(now)
+            if not tickets:
                 break
-            n += size
+            n += len(tickets)
         return n
 
     def next_deadline(self) -> float | None:
@@ -804,10 +811,12 @@ class StreamingSearcher:
         ``arrival_times`` gives each query's arrival second explicitly
         (any nondecreasing trace — bursty, lulls, ...); ``qps`` is the
         uniform-rate shorthand ``i / qps``.  Exactly one must be given.
+        Queries pass through the live path's enqueue and dispatch steps.
         Batches dispatch when the adaptive target fills or a query's
-        latency budget runs out, service time is the real measured wall
-        time of each ``query()`` call, and simulated time advances by it —
-        so queueing behind a slow kernel is captured without any sleeping.
+        latency budget runs out, but never before every arrival due by
+        then is queued.  Service time is the real measured wall time of
+        each ``query()`` call, and simulated time advances by it — so
+        queueing behind a slow kernel is captured without any sleeping.
 
         Returns a :class:`~repro.runtime.report.StreamReport` whose
         ``dist``/``idx`` are in arrival order (identical to per-query
@@ -841,8 +850,7 @@ class StreamingSearcher:
                 raise ValueError("arrival times must be nondecreasing")
 
         batcher = QueryBatcher(self.policy)  # fresh controller per stream
-        tracer = self.ctx.tracer
-        recorder = TimingRecorder(trace_ops=trace_ops, tracer=tracer)
+        recorder = TimingRecorder(trace_ops=trace_ops, tracer=self.ctx.tracer)
         run_ctx = self.ctx.with_recorder(recorder)
         old_ctx, old_batcher = self.ctx, self.batcher
         old_backoffs = self._backoffs_seen
@@ -854,75 +862,46 @@ class StreamingSearcher:
         idx = np.full((m, self.k_serve), -1, dtype=np.int64)
         sojourn = np.zeros(m)
         wait = np.zeros(m)
-        served = deque()
         t0_counts = dict(self.rule_counts)
         self.rule_counts = {}
-        #: row -> open root span of an in-flight query
-        qspans: dict = {}
+        first = self._next_ticket  # row r rides ticket first + r
         next_snap = float(snapshot_every_s)
 
         try:
             with run_ctx.observe(self.index.metric) as obs:
-                free_at = 0.0  # virtual time the executor is next free
-                j = 0
-                while j < m or batcher.pending:
-                    next_arr = arrivals[j] if j < m else np.inf
-                    deadline = batcher.next_deadline()
-                    flush_at = max(
-                        free_at,
-                        np.inf if deadline is None else deadline,
-                    )
-                    if next_arr <= flush_at:
-                        if tracer.enabled:
-                            qspans[j] = tracer.start_span(
-                                "serve:query", row=j
-                            )
-                        batcher.add((j, Qb[j]), now=next_arr)
-                        j += 1
-                        now = max(free_at, next_arr)
-                    else:
-                        now = flush_at
-                    if batcher.ready(now, more_coming=(j < m)):
-                        items = batcher.take(now)
-                        rows = [payload[0] for payload, _arr in items]
-                        # the batch span (and the kernel/worker spans
-                        # below it) joins the oldest served query's trace
-                        parent = qspans.get(rows[0])
-                        with tracer.span_under(
-                            parent.context if parent is not None else None,
-                            "serve:batch",
-                            size=len(items),
-                        ):
-                            bd, bi, service = self._serve_batch(
-                                Qb[rows], now
-                            )
-                        batcher.observe(len(items), service)
-                        done_t = now + service
-                        dist[rows], idx[rows] = bd, bi
-                        for (_row, _q), arr in items:
-                            wait[_row] = now - arr
-                            sojourn[_row] = done_t - arr
-                            span = qspans.pop(_row, None)
-                            if span is not None:
-                                tracer.finish(
-                                    span.set(
-                                        sojourn_s=sojourn[_row],
-                                        wait_s=wait[_row],
-                                        batch=len(items),
-                                    )
-                                )
-                        served.append(done_t)
-                        free_at = done_t
-                        self._observe_served(
-                            [sojourn[r] for r in rows], done_t
-                        )
+                # when the server is next free: the last batch's completion,
+                # or the latest arrival if that came after it
+                clock = 0.0
+                for j in range(m + 1):
+                    t = arrivals[j] if j < m else np.inf
+                    # dispatch every batch that starts before arrival j: at
+                    # the clock if the batcher is ready there, else at its
+                    # deadline.  A batch starting at or after t waits for
+                    # t to be queued, so every arrival due by the time the
+                    # server frees up joins the next dispatch decision.
+                    while batcher.pending:
+                        if batcher.ready(clock, more_coming=j < m):
+                            start = clock
+                        else:
+                            start = batcher.next_deadline()
+                        if start >= t:
+                            break
+                        tickets, clock = self._flush(start)
+                        for ticket in tickets:
+                            r = ticket - first
+                            dist[r], idx[r] = self._done.pop(ticket)
+                            wait[r] = start - arrivals[r]
+                            sojourn[r] = clock - arrivals[r]
                         if self.metrics is not None and metrics_jsonl:
-                            while next_snap <= done_t:
+                            while next_snap <= clock:
                                 self.metrics.dump_jsonl(
                                     metrics_jsonl, now=next_snap
                                 )
                                 next_snap += float(snapshot_every_s)
-                makespan = max(float(served[-1]) if served else 0.0, 1e-12)
+                    if j < m:
+                        self._enqueue(Qb[j], t)
+                        clock = max(clock, t)
+                makespan = max(clock, 1e-12)
         finally:
             stream_counts = self.rule_counts
             self.ctx, self.batcher = old_ctx, old_batcher

@@ -34,9 +34,9 @@ scatter-gather wave:
 **Stragglers and failures.**  Shards are simulated in-process, so each
 task's latency is its measured scan wall time plus an injected per-shard
 delay (``shard_delays``); a batch completes at the *max* over its shard
-completions.  With ``replicas > 1`` every shard is a replica group, and a
-:class:`HedgePolicy` re-issues a straggler's task to a replica once the
-task has been outstanding past a latency-quantile cutoff (the classic
+completions.  With ``replicas > 1`` every shard is a replica group, and
+``hedge=True`` re-issues a straggler's task to a replica once the task
+has been outstanding past a latency-quantile cutoff (the classic
 tail-at-scale hedged request); a dead primary (delay ``inf``) is then
 survivable, and a merely slow one stops dictating the batch's p99.  Each
 hedge wave counts as an extra scatter-gather **round** — the adaptivity
@@ -64,51 +64,39 @@ from ..metrics.engine import rescore_pairs
 from ..runtime.report import StreamReport
 from .searcher import StreamingSearcher
 
-__all__ = ["HedgePolicy", "ShardedStreamingSearcher"]
+__all__ = ["ShardedStreamingSearcher"]
 
 _FLOAT_BYTES = 8.0
 _ID_BYTES = 8.0
 
+#: the hedge cutoff's latency quantile, and its multiplier
+HEDGE_QUANTILE = 0.95
+HEDGE_FACTOR = 2.0
+#: completions on record before the quantile term applies
+HEDGE_MIN_SAMPLES = 16
+#: the cold-start cutoff, as a fraction of the latency budget
+HEDGE_BUDGET_FRACTION = 0.25
+#: completion-latency samples kept for the quantile estimate
+HEDGE_HISTORY = 256
 
-@dataclass(frozen=True)
-class HedgePolicy:
-    """When to re-issue a straggling shard task to a replica.
 
-    The cutoff after which a task is hedged is
-    ``min(factor * Q_quantile(completion history), budget_fraction *
-    max_delay_ms)`` — the quantile term adapts to the measured latency
-    distribution once ``min_samples`` completions are on record, and the
-    budget term guarantees a hedge fires early enough to still make the
-    latency budget even on a cold start (or when a dead shard has
+def _hedge_cutoff(samples, max_delay_s: float) -> float:
+    """Outstanding seconds after which a shard task is re-issued.
+
+    ``min(HEDGE_FACTOR * Q_0.95(completion history), HEDGE_BUDGET_FRACTION
+    * max_delay_s)`` — the quantile term adapts to the measured latency
+    distribution once ``HEDGE_MIN_SAMPLES`` completions are on record, and
+    the budget term guarantees a hedge fires early enough to still make
+    the latency budget even on a cold start (or when a dead shard has
     poisoned nothing yet).
     """
-
-    quantile: float = 0.95
-    factor: float = 2.0
-    min_samples: int = 16
-    budget_fraction: float = 0.25
-    #: completion-latency samples kept for the quantile estimate
-    history: int = 256
-
-    def __post_init__(self) -> None:
-        if not 0 < self.quantile < 1:
-            raise ValueError("quantile must be in (0, 1)")
-        if self.factor < 1.0:
-            raise ValueError("factor must be >= 1")
-        if not 0 < self.budget_fraction <= 1:
-            raise ValueError("budget_fraction must be in (0, 1]")
-        if self.min_samples < 1 or self.history < self.min_samples:
-            raise ValueError("need 1 <= min_samples <= history")
-
-    def cutoff(self, samples, max_delay_s: float) -> float:
-        """Outstanding seconds after which a task is re-issued."""
-        cut = self.budget_fraction * float(max_delay_s)
-        if len(samples) >= self.min_samples:
-            est = self.factor * float(
-                np.quantile(np.asarray(samples, dtype=np.float64), self.quantile)
-            )
-            cut = min(cut, est)
-        return cut
+    cut = HEDGE_BUDGET_FRACTION * float(max_delay_s)
+    if len(samples) >= HEDGE_MIN_SAMPLES:
+        est = HEDGE_FACTOR * float(
+            np.quantile(np.asarray(samples, dtype=np.float64), HEDGE_QUANTILE)
+        )
+        cut = min(cut, est)
+    return cut
 
 
 @dataclass
@@ -142,7 +130,8 @@ class ShardedStreamingSearcher(StreamingSearcher):
         :func:`~repro.distributed.partition.partition_by_representatives`
         (default) — or ``"random"`` representative sharding.
     hedge:
-        the :class:`HedgePolicy`; ``None`` disables hedging even with
+        re-issue straggling shard tasks to a replica past
+        :func:`_hedge_cutoff`; ``False`` disables hedging even with
         replicas (the straggler then dictates the batch).
     cluster:
         optional :class:`~repro.distributed.cluster.ClusterSpec` with
@@ -168,7 +157,7 @@ class ShardedStreamingSearcher(StreamingSearcher):
         n_shards: int,
         replicas: int = 1,
         partition: str = "reps",
-        hedge: HedgePolicy | None = None,
+        hedge: bool = False,
         cluster: ClusterSpec | None = None,
         shard_delays: dict | None = None,
         shard_seed: int = 0,
@@ -198,7 +187,7 @@ class ShardedStreamingSearcher(StreamingSearcher):
         self.n_shards = int(n_shards)
         self.replicas = int(replicas)
         self.cluster = cluster
-        self.hedge = hedge
+        self.hedge = bool(hedge)
         self.shard_delays = dict(shard_delays or {})
 
         nr = index.n_reps
@@ -221,12 +210,11 @@ class ShardedStreamingSearcher(StreamingSearcher):
         self.hedges = 0
         self.comm = CommStats.zeros(self.n_shards)
         self.shard_tallies = [_ShardTally() for _ in range(self.n_shards)]
-        hist = hedge.history if hedge is not None else 256
         #: completion latencies feeding the hedge cutoff quantile — fed
         #: *completions* (hedged included), not primaries, so a
         #: persistently slow shard cannot inflate the quantile until
         #: hedging disables itself
-        self._completions: deque = deque(maxlen=hist)
+        self._completions: deque = deque(maxlen=HEDGE_HISTORY)
         self._snap = self._snapshot()
 
         if self.metrics is not None:
@@ -321,10 +309,8 @@ class ShardedStreamingSearcher(StreamingSearcher):
 
         # ---- straggler handling: completion per task, hedged if due
         cutoff = np.inf
-        if self.hedge is not None and self.replicas > 1:
-            cutoff = self.hedge.cutoff(
-                self._completions, self.policy.max_delay_s
-            )
+        if self.hedge and self.replicas > 1:
+            cutoff = _hedge_cutoff(self._completions, self.policy.max_delay_s)
         completions: dict[int, float] = {}
         hedged: list[int] = []
         for w, wall in walls.items():
@@ -342,7 +328,7 @@ class ShardedStreamingSearcher(StreamingSearcher):
                 raise RuntimeError(
                     f"shard {w} never answered (injected delay is inf and "
                     "no live replica was hedged); serve with replicas > 1 "
-                    "and a HedgePolicy to survive dead shards"
+                    "and hedge=True to survive dead shards"
                 )
             completions[w] = completion
             self.shard_tallies[w].busy_s += busy

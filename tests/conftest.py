@@ -10,14 +10,6 @@ import pytest
 import repro.runtime.autotune as autotune_mod
 
 
-@pytest.fixture(autouse=True)
-def _memory_tuner(monkeypatch):
-    """Keep autotuner plans in-memory so tests never touch ~/.cache."""
-    monkeypatch.setattr(
-        autotune_mod, "default_autotuner", autotune_mod.Autotuner(persist=False)
-    )
-
-
 @pytest.fixture
 def pin_plan(monkeypatch):
     """``pin_plan(strategy)`` pins the autotuner's flat/grouped pick, so a
@@ -30,9 +22,7 @@ def pin_plan(monkeypatch):
                 plan = super().plan_for(*args, **kwargs)
                 return dataclasses.replace(plan, strategy=strategy)
 
-        monkeypatch.setattr(
-            autotune_mod, "default_autotuner", Pinned(persist=False)
-        )
+        monkeypatch.setattr(autotune_mod, "default_autotuner", Pinned())
 
     return pin
 

@@ -52,8 +52,11 @@ def test_policy_validation():
         CachePolicy(max_entries=0)
     with pytest.raises(ValueError):
         CachePolicy(ttl_s=0.0)
-    with pytest.raises(ValueError):
-        CachePolicy(safety=1.0)
+    # the certificate's safety margin is a constant, and hits always rescore
+    with pytest.raises(TypeError):
+        CachePolicy(safety=1e-6)
+    with pytest.raises(TypeError):
+        CachePolicy(rescore=False)
 
 
 def test_cache_requires_exact_index(rng):
@@ -74,11 +77,14 @@ def test_cache_requires_true_metric(rng):
         ProximityCache(idx, 3)
 
 
-def test_cache_requires_rescore(rng):
-    X = rng.normal(size=(300, 6))
-    idx = ExactRBC(seed=0).build(X)
+def test_cache_requires_rescore():
+    # an exact index over strings has no paired kernel to rescore with
+    from repro.metrics import get_metric
+
+    words = ["abc", "abd", "xyz", "xxy", "aac", "zzz", "abz", "qrs"]
+    idx = ExactRBC(metric=get_metric("edit"), seed=0).build(words)
     with pytest.raises(ValueError, match="rescor"):
-        StreamingSearcher(idx, k=2, rescore=False, cache=True)
+        StreamingSearcher(idx, k=2, cache=True)
 
 
 def test_cache_rejects_mismatched_searcher(rng):

@@ -74,7 +74,7 @@ def test_batcher_grows_toward_throughput():
 
 def test_batcher_shrinks_when_service_eats_budget():
     # measured rate of 1000 q/s: a 64-batch costs 64 ms, far beyond
-    # service_fraction * 20 ms — the target must come down
+    # SERVICE_FRACTION * 20 ms — the target must come down
     b = QueryBatcher(BatchPolicy(max_delay_ms=20, max_batch=64))
     for _ in range(12):
         b.observe(b.target, b.target / 1000.0)
@@ -123,6 +123,9 @@ def test_policy_validation():
     with pytest.raises(ValueError):
         BatchPolicy(min_batch=8, max_batch=4)
     assert BatchPolicy(min_batch=3, max_batch=20).ladder() == [3, 6, 12, 20]
+    # the controller's tuning is fixed: the batcher module's constants
+    with pytest.raises(TypeError):
+        BatchPolicy(ewma=0.5)
 
 
 # --------------------------------------------------------------- determinism
@@ -201,6 +204,37 @@ def test_stream_latency_capped_under_bursty_trace(served_index):
     assert report.latency.p99_s * 1e3 < budget_ms
     # waits are part of sojourn, so wait <= latency everywhere
     assert report.wait.max_s <= report.latency.max_s + 1e-12
+
+
+class _SyntheticServer(StreamingSearcher):
+    """A server whose batch costs 20 ms + 0.5 ms per query on the virtual
+    clock, so throughput under overload carries no wall-clock noise."""
+
+    def _timed_dispatch(self, Qb, width=None):
+        m = Qb.shape[0]
+        k = self.k if width is None else int(width)
+        return (
+            np.zeros((m, k)),
+            np.zeros((m, k), dtype=np.int64),
+            0.020 + 0.0005 * m,
+        )
+
+
+def test_stream_overload_keeps_batching(rng):
+    # batches of 64 serve ~1,200 q/s, one query at a time ~50 q/s: a
+    # replay that flushes each late arrival alone collapses to batch 1
+    # once the oldest deadline has passed and never recovers
+    index = BruteForceIndex().build(rng.normal(size=(50, 4)))
+    served = {}
+    for qps in (600.0, 1200.0):
+        Q = rng.normal(size=(int(2 * qps), 4))
+        with _SyntheticServer(
+            index, k=2, policy=BatchPolicy(max_delay_ms=100, max_batch=64)
+        ) as server:
+            report = server.search_stream(Q, qps=qps)
+        assert report.mean_batch >= 8, (qps, report.mean_batch)
+        served[qps] = report.throughput_qps
+    assert served[1200.0] >= served[600.0]
 
 
 def test_stream_report_observables(served_index):

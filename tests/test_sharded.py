@@ -6,7 +6,6 @@ import pytest
 from repro import (
     BatchPolicy,
     ExactRBC,
-    HedgePolicy,
     MetricsRegistry,
     OneShotRBC,
     ShardedStreamingSearcher,
@@ -14,6 +13,7 @@ from repro import (
 )
 from repro.distributed import ClusterSpec
 from repro.runtime import StreamReport
+from repro.serving.sharded import _hedge_cutoff
 from repro.simulator import DESKTOP_QUAD
 
 
@@ -118,10 +118,8 @@ def test_hedging_tames_slow_shard_p99(served_index):
     index, Q = served_index
     budget_s = 0.100
     slow = {1: 0.200}  # shard 1's primary takes 200 ms > the budget
-    unhedged = _stream(index, Q, replicas=2, hedge=None, shard_delays=slow)
-    hedged = _stream(
-        index, Q, replicas=2, hedge=HedgePolicy(), shard_delays=slow
-    )
+    unhedged = _stream(index, Q, replicas=2, hedge=False, shard_delays=slow)
+    hedged = _stream(index, Q, replicas=2, hedge=True, shard_delays=slow)
     # without hedging the straggler dictates every batch and the queue
     # backs up past the budget; hedged requests re-issue its tasks to the
     # replica after the cutoff and p99 stays within budget
@@ -139,9 +137,7 @@ def test_dead_shard_needs_replicas(served_index):
     dead = {2: float("inf")}
     with pytest.raises(RuntimeError, match="shard 2"):
         _stream(index, Q, replicas=1, shard_delays=dead)
-    report = _stream(
-        index, Q, replicas=2, hedge=HedgePolicy(), shard_delays=dead
-    )
+    report = _stream(index, Q, replicas=2, hedge=True, shard_delays=dead)
     dist, idx = index.query(Q, k=3)
     np.testing.assert_array_equal(report.idx, idx)
     assert report.hedges >= report.per_shard[2]["tasks"] > 0
@@ -155,29 +151,19 @@ def test_dead_replica_delay_addressing(served_index):
         index,
         Q,
         replicas=2,
-        hedge=HedgePolicy(),
+        hedge=True,
         shard_delays={(0, 1): float("inf")},
     )
     dist, idx = index.query(Q, k=3)
     np.testing.assert_array_equal(report.idx, idx)
 
 
-def test_hedge_policy_validation():
-    with pytest.raises(ValueError):
-        HedgePolicy(quantile=1.5)
-    with pytest.raises(ValueError):
-        HedgePolicy(factor=0.5)
-    with pytest.raises(ValueError):
-        HedgePolicy(budget_fraction=0.0)
-    with pytest.raises(ValueError):
-        HedgePolicy(min_samples=0)
-    # cold start: the budget fraction bounds the cutoff
-    assert HedgePolicy(budget_fraction=0.25).cutoff([], 0.1) == pytest.approx(
-        0.025
-    )
-    # warmed up: the latency quantile can only tighten it
-    hp = HedgePolicy(min_samples=4, factor=2.0, quantile=0.5)
-    assert hp.cutoff([0.001] * 8, 0.1) == pytest.approx(0.002)
+def test_hedge_cutoff():
+    # cold start: a quarter of the latency budget bounds the cutoff
+    assert _hedge_cutoff([0.001] * 15, 0.1) == pytest.approx(0.025)
+    # warmed up: twice the latency quantile can only tighten it
+    assert _hedge_cutoff([0.001] * 16, 0.1) == pytest.approx(0.002)
+    assert _hedge_cutoff([0.1] * 16, 0.1) == pytest.approx(0.025)
 
 
 # ------------------------------------------------------------ observability
