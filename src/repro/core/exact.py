@@ -37,7 +37,12 @@ grouped by representative so each representative's trimmed prefix is
 scanned with a single dense ``pairwise`` block (the same matmul-like
 group-by-rep structure as the one-shot search).  This is the paper's core
 argument applied to its own exact algorithm: per-query scalar work
-coalesces into brute-force blocks that run at hardware speed.
+coalesces into brute-force blocks that run at hardware speed.  The
+comparison step follows the primitive's too: the scan keeps each query's
+k best as it goes, in a survivor pool bounded by a small multiple of k
+per query on average, and each query's filter threshold falls from gamma
+to its current k-th distance, so a block admits only candidates that can
+still enter the answer.
 
 The search is written once, as three steps that store no per-call state
 on the index: :meth:`ExactRBC._stage1` (``BF(Q, R)``),
@@ -70,6 +75,11 @@ from .rbc import RBCBase, sample_representatives
 from .stats import SearchStats
 
 __all__ = ["ExactRBC"]
+
+#: :meth:`ExactRBC._scan` keeps each row's k best once its survivor pool
+#: holds more than this many times k entries per row on average (this
+#: many times c * k over a c-row chunk)
+_POOL_BOUND = 4
 
 
 class ExactRBC(RBCBase):
@@ -397,25 +407,25 @@ class ExactRBC(RBCBase):
         is ``-1`` for a representative found in no list (cannot happen in a
         consistent exact build; treated as "not scanned").
 
-        The table depends only on the index state, but the scan that
-        builds it is a Python loop over every ownership list — by far the
-        largest *fixed* cost of a query call, which a one-query-at-a-time
-        stream pays over and over.  It is therefore cached per index
-        version (``_prep`` is cleared by every build/insert/delete).
+        The table depends only on the index state, so it is cached per
+        index version (``_prep`` is cleared by every build/insert/delete);
+        building it is one ``isin`` over the packed ids, whose hits in
+        live slots ``searchsorted`` places into their lists.
         """
         cached = self._prep.get("rep_positions")
         if cached is not None:
             return cached
+        packed = self._packed
         owner = np.full(self.n_reps, -1, dtype=np.int64)
         pos = np.zeros(self.n_reps, dtype=np.int64)
-        for j, lst in enumerate(self.lists):
-            if lst.size == 0:
-                continue
-            hit = np.flatnonzero(np.isin(lst, self.rep_ids))
-            if hit.size:
-                ridx = np.searchsorted(self.rep_ids, lst[hit])
-                owner[ridx] = j
-                pos[ridx] = hit
+        slot = np.flatnonzero(np.isin(packed.ids, self.rep_ids))
+        j = np.searchsorted(packed.starts, slot, side="right") - 1
+        at = slot - packed.starts[j]
+        # slack at a segment's tail can hold stale ids
+        live = at < packed.lengths[j]
+        ridx = np.searchsorted(self.rep_ids, packed.ids[slot[live]])
+        owner[ridx] = j[live]
+        pos[ridx] = at[live]
         self._prep["rep_positions"] = (owner, pos)
         return owner, pos
 
@@ -597,18 +607,30 @@ class ExactRBC(RBCBase):
         domain), a gather plus ``pairwise`` for the raw batch of a generic
         metric.  Ragged groups are masked back to each row's own cut.
 
-        One selection rule follows every block: gamma bounds the k-th NN
-        distance (the k seed representatives are candidates within it), so
-        a scanned candidate beyond it can never enter the top-k.  The bound
-        is widened by a relative slack of 1e-9 so rounding admits extra
-        survivors rather than excluding neighbors.  The seeds a scanned
-        prefix holds always survive: Gram-trick distances of
-        near-coincident points cancel, so their rounding error scales with
-        the norms rather than the distance and can exceed any relative
-        slack, and a row must keep its ``k`` seeds.  Returns the survivor
-        pool ``(rows, dists, ids)``; ``top`` keeps only each row's ``top``
-        nearest (a node's top-k reply).  Stores no per-call state on the
-        index.
+        One selection rule follows every block: a row's threshold starts
+        at gamma, which bounds the k-th NN distance (the k seed
+        representatives are candidates within it), so a scanned candidate
+        beyond it can never enter the top-k.  That bound is widened by a
+        relative slack of 1e-9 so rounding admits extra survivors rather
+        than excluding neighbors.  The seeds a scanned prefix holds always
+        survive: Gram-trick distances of near-coincident points cancel, so
+        their rounding error scales with the norms rather than the
+        distance and can exceed any relative slack, and a row must keep
+        its ``k`` seeds.
+
+        The survivor pool stays bounded, the comparison step of the
+        paper's BF primitive (§3): whenever it holds more than
+        ``_POOL_BOUND * c * k`` entries over the chunk's ``c`` rows
+        (``_POOL_BOUND * k`` per row on average; one row may hold more),
+        :func:`_top` keeps each row's ``k`` best, and a row that holds
+        ``k`` lowers its threshold to its k-th distance so later blocks
+        admit only candidates that can still enter.  A dropped candidate
+        has ``k`` others ahead of it in ``_top``'s stable (distance, pool
+        position) order, which every later ranking keeps, so answers are
+        those of ranking the whole pool once.
+        Returns the survivor pool ``(rows, dists, ids)``; ``top`` keeps
+        only each row's ``top`` nearest (a node's top-k reply).  Stores no
+        per-call state on the index.
         """
         metric = self.metric
         engine = isinstance(Qop, Prepared)
@@ -618,6 +640,7 @@ class ExactRBC(RBCBase):
             Cp = self._prepared_cands()
             starts = self._packed.starts
         gamma = pruned.gamma
+        c, k = len(gamma), pruned.k
         thr = (metric.to_squared(gamma) if squared else gamma) * (1.0 + 1e-9)
         lists = self.lists
         live = (pruned.cuts > 0).any(axis=0)
@@ -630,9 +653,8 @@ class ExactRBC(RBCBase):
         order = np.argsort(owner[s_rep], kind="stable")
         s_row, s_rep = s_row[order], s_rep[order]
         s_at = np.searchsorted(owner[s_rep], np.arange(len(live) + 1))
-        acc_r = [np.empty(0, dtype=np.int64)]
-        acc_d = [np.empty(0)]
-        acc_g = [np.empty(0, dtype=np.int64)]
+        empty = np.empty(0, dtype=np.int64)
+        acc, n_acc = [(empty, np.empty(0), empty)], 0
         # DRAM traffic model: a candidate vector is streamed from memory the
         # first time any query in this scan touches it and served from
         # cache afterwards, so the scan charges each unique candidate once
@@ -672,17 +694,21 @@ class ExactRBC(RBCBase):
             # 1-D nonzero + divmod beats 2-D nonzero by ~2x here
             flat = np.flatnonzero(mask)
             rr, cc = np.divmod(flat, prefix_len)
-            acc_r.append(rows[rr])
-            acc_d.append(D.reshape(-1)[flat])
-            acc_g.append(prefix[cc])
+            acc.append((rows[rr], D.reshape(-1)[flat], prefix[cc]))
+            n_acc += flat.size
+            if n_acc > _POOL_BOUND * c * k:
+                r, d, g, rank = _top(acc, c, k)
+                full = rank == k - 1
+                thr[r[full]] = np.minimum(thr[r[full]], d[full])
+                acc, n_acc = [(r, d, g)], r.size
             if recorder.enabled:
                 # two (rows, k) candidate blocks: float64 distances plus
                 # int64 ids
                 recorder.record(
                     Op(
                         kind="reduce",
-                        flops=4.0 * rows.size * pruned.k,
-                        bytes=2.0 * rows.size * pruned.k * 16.0,
+                        flops=4.0 * rows.size * k,
+                        bytes=2.0 * rows.size * k * 16.0,
                         vectorizable=True,
                         tag="exact:stage2:merge",
                     )
@@ -696,8 +722,9 @@ class ExactRBC(RBCBase):
                     tag="exact:stage2-stream",
                 )
             )
-        pool = tuple(np.concatenate(acc) for acc in (acc_r, acc_d, acc_g))
-        return pool if top is None else _top([pool], len(gamma), top)[:3]
+        if top is not None:
+            return _top(acc, c, top)[:3]
+        return tuple(np.concatenate(part) for part in zip(*acc))
 
     def _squared(self, Qop) -> bool:
         """Whether scans of ``Qop`` rank in the metric's squared domain."""

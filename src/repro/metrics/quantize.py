@@ -68,6 +68,10 @@ _SLACK = 1e-4
 #: absolute floor for the slack (distances can legitimately be 0.0)
 _ATOL = 1e-9
 
+#: columns per strided block of the flat scan's frontier selection
+#: (:func:`_smallest`)
+_BLOCK = 8
+
 #: default over-fetch multiplier: k' = max(ck, k + 16) candidates are
 #: selected before the float64 re-rank (the ``c`` in the Issue's k'=ck)
 DEFAULT_OVER_FETCH = 4
@@ -305,38 +309,81 @@ def quantize_prepared(
 def _scan_block(metric, qop: QuantizedOperand, q32, q2, lo, hi, backend):
     """One (chunk, n) block of approximate scan scores, ascending = closer.
 
-    ``gram`` kernels return squared Euclidean distances in prepared space;
-    ``angular`` kernels return *negated* cosine similarities (the arccos
-    is applied only to the selected frontier).  Invalid (slack) columns
-    are pushed to ``+inf``.
+    Returns ``(S, shift)``; the scores are ``S + shift[:, None]``, or
+    ``S`` itself when ``shift`` is ``None``.  ``gram`` kernels score
+    squared Euclidean distances in prepared space (rounding can leave a
+    near-coincident pair slightly below zero; :func:`_root` clamps the
+    selected ones); the decode-cache GEMM leaves out the queries' squared
+    norms, a per-row ``shift`` that reorders nothing, so only the selected
+    scores pay for adding it.  ``angular`` kernels score *negated* cosine
+    similarities (the arccos is applied only to the selected frontier).
+    Invalid (slack) columns are pushed to ``+inf``.
     """
     from .jit import scan_codes_block
 
     angular = qop.kernel.startswith("angular")
-    S = None
+    S, shift = None, None
     if backend == "numba":
         S = scan_codes_block(qop, q32[lo:hi], q2 if q2 is None else q2[lo:hi])
     if S is None:
         dec = qop.decoded
-        G = q32[lo:hi] @ dec.data.T
-        if angular:
-            np.negative(G, out=G)
-        else:
-            G *= -2.0
-            G += q2[lo:hi, None]
-            G += dec.sqnorms[None, :]
-            np.maximum(G, 0.0, out=G)
-        S = G
+        # the -1 / -2 factor scales the (chunk, d) queries, not the
+        # (chunk, n) block; a power-of-two scale is exact
+        S = ((-1.0 if angular else -2.0) * q32[lo:hi]) @ dec.data.T
+        if not angular:
+            S += dec.sqnorms[None, :]
+            shift = q2[lo:hi]
     if qop._invalid_cols is not None:
         S[:, qop._invalid_cols] = np.inf
-    return S
+    return S, shift
 
 
 def _root(S_sel, angular: bool) -> np.ndarray:
     """Selected scores -> distance domain (root / arccos)."""
     if angular:
         return np.arccos(np.clip(-S_sel, -1.0, 1.0))
-    return np.sqrt(S_sel)
+    return np.sqrt(np.maximum(S_sel, 0.0))
+
+
+def _frontier(S, width: int):
+    """Each row's ``width`` smallest scores of ``S``, ascending, as
+    ``(columns, scores)``; ties are ordered by column."""
+    cols = _smallest(S, width)
+    vals = np.take_along_axis(S, cols, axis=1)
+    order = np.lexsort((cols, vals), axis=1)
+    return np.take_along_axis(cols, order, axis=1), np.take_along_axis(
+        vals, order, axis=1
+    )
+
+
+def _smallest(S, width: int):
+    """Columns of each row's ``width`` smallest scores of ``S``, unordered.
+
+    One ``argpartition`` over all ``n`` columns costs as much as the scan,
+    so the columns are narrowed first.  They are dealt into ``nb``
+    strided blocks of ``_BLOCK`` columns: block ``b`` holds columns
+    ``b, b + nb, ...``, and the columns past the last full stride are
+    always kept.  The ``width`` blocks with the smallest minima hold
+    ``width`` scores no larger than anything outside them, so they hold a
+    row's ``width`` smallest.  The same rule picks those blocks out of the
+    block minima, so a few cheap elementwise minima leave
+    ``width * _BLOCK`` columns to rank.
+    """
+    c, n = S.shape
+    B = _BLOCK
+    if n < 4 * width * B:
+        # too few columns to narrow: rank the whole row
+        return np.argpartition(S, width - 1, axis=1)[:, :width]
+    nb = n // B
+    mins = S[:, : nb * B].reshape(c, B, nb).min(axis=1)
+    blocks = _smallest(mins, width)
+    cols = (blocks[:, :, None] + nb * np.arange(B)).reshape(c, -1)
+    if nb * B < n:
+        tail = np.broadcast_to(np.arange(nb * B, n), (c, n - nb * B))
+        cols = np.concatenate([cols, tail], axis=1)
+    vals = np.take_along_axis(S, cols, axis=1)
+    keep = np.argpartition(vals, width - 1, axis=1)[:, :width]
+    return np.take_along_axis(cols, keep, axis=1)
 
 
 def quant_topk(
@@ -358,7 +405,7 @@ def quant_topk(
     ``approx_ids`` — the pre-re-rank top-k, for recall accounting).
 
     Per chunk of queries the scan block stays cache-resident: select the
-    ``k'+1`` smallest approximate scores with one ``argpartition``, then
+    ``k'+1`` smallest approximate scores (:func:`_frontier`), then
     certify via the triangle-inequality bounds that nothing unselected can
     reach the top-k (the k-th smallest selected upper bound must be below
     the frontier's lower bound).  Rows failing the certificate re-filter
@@ -392,7 +439,7 @@ def quant_topk(
 
     for lo in range(0, m, row_chunk):
         hi = min(lo + row_chunk, m)
-        S = _scan_block(metric, qop, q32, q2, lo, hi, backend)
+        S, shift = _scan_block(metric, qop, q32, q2, lo, hi, backend)
         if full:
             order = np.argsort(S, axis=1, kind="stable")[:, :width]
             if width > n_valid:
@@ -403,11 +450,9 @@ def quant_topk(
             cand[lo:hi] = order
             approx[lo:hi] = order[:, :k_eff]
             continue
-        part = np.argpartition(S, k2, axis=1)[:, : k2 + 1]
-        ps = np.take_along_axis(S, part, axis=1)
-        order = np.argsort(ps, axis=1, kind="stable")
-        part = np.take_along_axis(part, order, axis=1)
-        ps = np.take_along_axis(ps, order, axis=1)
+        part, ps = _frontier(S, k2 + 1)
+        if shift is not None:
+            ps += shift[:, None]
         dist = _root(ps, angular)  # (chunk, k2+1) selected distances
         sel_resid = resid32[part]
         ub = dist + sel_resid
@@ -427,7 +472,8 @@ def quant_topk(
                 thr = np.cos(np.clip(U[r] + resid32, 0.0, np.pi))
                 keep = np.flatnonzero(-S[r] >= thr)
             else:
-                keep = np.flatnonzero(S[r] <= (U[r] + resid32) ** 2)
+                row = S[r] if shift is None else S[r] + shift[r]
+                keep = np.flatnonzero(row <= (U[r] + resid32) ** 2)
             n_fallback += 1
             if keep.size > width:
                 cand[lo + r] = -1

@@ -95,7 +95,8 @@ class Autotuner:
             Op(kind="gemm", flops=2.0 * n * d, bytes=n * d * bpd,
                vectorizable=True, tag="autotune:flat")
         )
-        # frontier selection: one argpartition pass over the n scores
+        # frontier selection: one elementwise-minimum pass over the n
+        # scores narrows them to the few columns that are ranked
         select = mach.op_time(
             Op(kind="reduce", flops=4.0 * n, bytes=4.0 * n,
                vectorizable=False, tag="autotune:select")

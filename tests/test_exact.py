@@ -1,12 +1,16 @@
 """Exact RBC search: correctness guarantees under every configuration."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import repro.core.exact
 from repro.core import ExactRBC
+from repro.core.exact import _POOL_BOUND
 from repro.eval import distance_ratio, results_match_exactly
 from repro.metrics import EditDistance, GraphMetric
 from repro.parallel import bf_knn, bf_range
@@ -106,6 +110,24 @@ def test_scanned_seeds_survive_rounding(kw, pin_plan):
         true_d, _ = bf_knn(Q, X, k=1)
         assert (i >= 0).all()
         assert results_match_exactly(d, true_d, atol=1e-7)
+
+
+def test_scan_pool_stays_bounded():
+    # 16-d Gaussian: pruning keeps nearly every list and gamma alone would
+    # pass hundreds of survivors per query; the scan keeps each row's k
+    # best as it goes
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(20_000, 16))
+    Q = rng.normal(size=(256, 16))
+    k = 5
+    index = ExactRBC(seed=0).build(X)
+    Qs, D_R = index._stage1(Q)
+    pruned = index._prune(D_R, k)
+    pool = index._scan(Qs, pruned)
+    assert pool[0].size <= _POOL_BOUND * k * len(Q)
+    d, _ = index._gather(Qs, D_R, pruned, [pool], k)
+    true_d, _ = bf_knn(Q, X, k=k)
+    np.testing.assert_allclose(d, true_d, rtol=1e-9, atol=1e-7)
 
 
 def test_integer_grid_ties_exact():
@@ -285,13 +307,23 @@ FINITE = st.floats(min_value=-50, max_value=50, allow_nan=False)
 @settings(max_examples=25, deadline=None)
 @given(
     arrays(np.float64, st.tuples(st.integers(20, 60), st.just(3)), elements=FINITE),
+    st.integers(1, 10),
     st.integers(1, 4),
     st.integers(0, 10_000),
 )
-def test_property_exact_equals_brute(X, k, seed):
+def test_property_exact_equals_brute(X, k, copies, seed):
+    # repeated rows tie exactly, and small pools overflow the scan's
+    # per-row bound, so its compactions run on ties
+    X = np.repeat(X, copies, axis=0)
     Q = X[::7]
     true_d, _ = bf_knn(Q, X, k=k)
     rbc = ExactRBC(seed=seed).build(X)
-    d, _ = rbc.query(Q, k=k)
+    d, i = rbc.query(Q, k=k)
     # atol covers the Gram-trick cancellation noise at coordinate scale 50
     np.testing.assert_allclose(d, true_d, rtol=1e-9, atol=2e-5)
+    # a bound no pool reaches never compacts: ranking every candidate
+    # within gamma once must give the same ids and distances, ties included
+    with mock.patch.object(repro.core.exact, "_POOL_BOUND", 10**9):
+        d_once, i_once = rbc.query(Q, k=k)
+    np.testing.assert_array_equal(i, i_once)
+    np.testing.assert_array_equal(d, d_once)

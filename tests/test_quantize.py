@@ -24,7 +24,7 @@ from repro.metrics import (
     set_kernel_backend,
     supports_quantization,
 )
-from repro.metrics.quantize import check_quantizer, quant_topk
+from repro.metrics.quantize import _frontier, check_quantizer, quant_topk
 from repro.parallel import bf_knn
 from repro.runtime import Autotuner, RunReport
 
@@ -217,6 +217,29 @@ def test_quant_topk_full_branch_excludes_slack(rng):
         kept = row[row >= 0]
         assert len(kept) == 8  # exactly the live rows, nothing more
         assert sorted(kept) == list(range(8))
+
+
+@pytest.mark.parametrize(
+    "n, width",
+    [(300, 21), (1_000, 21), (6_007, 21), (20_000, 21), (5_000, 1)],
+    ids=["whole-row", "narrowed", "narrowed-twice-tail", "narrowed-twice",
+         "width-1"],
+)
+def test_frontier_keeps_each_rows_smallest(n, width):
+    # small integer scores tie everywhere, and +inf marks slack columns:
+    # the block-minimum narrowing must still return each row's width
+    # smallest scores, ascending, ties ordered by column
+    rng = np.random.default_rng(n)
+    S = rng.integers(0, 40, size=(16, n)).astype(np.float32)
+    S[:, rng.choice(n, size=n // 10, replace=False)] = np.inf
+    S[3] = 7.0  # a row of one tied value
+    S[5, -1] = -1.0  # a row minimum in the columns past the last stride
+    cols, vals = _frontier(S, width)
+    np.testing.assert_array_equal(vals, np.sort(S, axis=1)[:, :width])
+    np.testing.assert_array_equal(np.take_along_axis(S, cols, axis=1), vals)
+    for c, v in zip(cols, vals):
+        assert len(np.unique(c)) == width
+        assert (np.lexsort((c, v)) == np.arange(width)).all()
 
 
 def test_exact_rbc_quant_flat_full_overfetch_after_delete(rng, pin_plan):

@@ -28,9 +28,23 @@ POLICY = BatchPolicy(max_delay_ms=50.0, max_batch=32)
 
 
 # ------------------------------------------------------------- determinism
-@pytest.mark.parametrize("n_shards", [1, 2, 4])
-def test_sharded_bit_identical_to_single_node(served_index, n_shards):
+@pytest.mark.parametrize(
+    "n_shards, copies",
+    [
+        pytest.param(1, 1, id="1"),
+        pytest.param(2, 1, id="2"),
+        pytest.param(4, 1, id="4"),
+        pytest.param(4, 4, id="4-duplicates"),
+    ],
+)
+def test_sharded_bit_identical_to_single_node(served_index, n_shards, copies):
     index, Q = served_index
+    if copies > 1:
+        # repeated rows tie exactly: every scan's bounded pool and the
+        # merge must keep the single-node tie order
+        X = np.repeat(index.X[: len(index.X) // copies], copies, axis=0)
+        index = ExactRBC(seed=0).build(X)
+        Q = X[:: len(X) // len(Q)]
     with StreamingSearcher(index, k=3, policy=POLICY) as base:
         want = base.search_stream(Q, qps=3000.0)
     with ShardedStreamingSearcher(

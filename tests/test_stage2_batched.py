@@ -182,6 +182,56 @@ def test_batched_after_insert_delete():
     assert index.last_stats.rule_counts() == rc
 
 
+def reference_rep_positions(index):
+    """Per-list scan for the representative-position table: representative
+    ``r`` sits at ``index.lists[owner[r]][pos[r]]``."""
+    owner = np.full(index.n_reps, -1, dtype=np.int64)
+    pos = np.zeros(index.n_reps, dtype=np.int64)
+    for j, lst in enumerate(index.lists):
+        for p, gid in enumerate(lst):
+            hit = np.flatnonzero(index.rep_ids == gid)
+            if hit.size:
+                owner[hit[0]], pos[hit[0]] = j, p
+    return owner, pos
+
+
+def test_rep_positions_match_per_list_reference():
+    # the table is built from the packed backing arrays, whose segment
+    # slack holds stale ids after grows and deletes.  Manhattan distances
+    # of coincident points are exactly 0, so an inserted copy of a
+    # representative sorts in front of it
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(300, 4))
+    index = ExactRBC("manhattan", seed=0, rep_scheme="exact").build(
+        X, n_reps=150
+    )
+    packed = index.packed
+
+    def check():
+        owner, pos = index._rep_positions()
+        want_owner, want_pos = reference_rep_positions(index)
+        np.testing.assert_array_equal(owner, want_owner)
+        np.testing.assert_array_equal(pos, want_pos)
+
+    check()
+    # a copy of a singleton list's representative grows that segment
+    j = next(t for t, lst in enumerate(index.lists) if lst.size == 1)
+    rep = int(index.rep_ids[j])
+    capacity = packed.capacity
+    gid = index.insert(X[rep].copy())
+    assert packed.capacity > capacity
+    check()
+    # deleting the copy leaves the representative's id in the slack
+    index.delete(gid)
+    assert rep in packed.ids[packed.span(j)[1] : packed.starts[j + 1]]
+    check()
+    # a representative delete drops its list and merges the members into
+    # the remaining lists
+    big = int(np.argmax([lst.size for lst in index.lists]))
+    index.delete(int(index.rep_ids[big]))
+    check()
+
+
 def test_batched_thread_executor_same_stats(small_vectors):
     X, Q = small_vectors
     serial = ExactRBC(seed=0).build(X)
