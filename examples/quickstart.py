@@ -37,7 +37,7 @@ print(
 )
 print(
     f"             pruning: {stats.pruned_by_psi / len(Q):.1f} reps/query by the"
-    f" psi rule, {stats.pruned_by_3gamma / len(Q):.1f} by the 3-gamma rule"
+    f" psi rule, {stats.pruned_by_3gamma / len(Q):.1f} by the owner bound"
 )
 
 # ------------------------------------------------------- one-shot RBC

@@ -1,39 +1,52 @@
 """The exact RBC search algorithm (paper §5.2).
 
-Search runs as two brute-force stages separated by a pruning step that uses
+Search runs as three brute-force calls around a pruning step that uses
 only the triangle inequality:
 
 1. ``BF(Q, R)`` with distances retained; ``gamma`` = distance to the
    nearest representative is an upper bound on the distance to the true NN
    (representatives are database points).
-2. Pruning discards every representative ``r`` that provably cannot own a
-   nearest neighbor, by two rules used simultaneously (the paper notes
-   their combination improves empirical performance):
+2. **Round 1**: ``BF(q, X[L_r1])`` over the whole list of the query's
+   nearest representative ``r1``.  ``gamma'``, the smallest distance seen
+   (the seed representatives from step 1 included), is a much tighter
+   bound than ``gamma``; it is widened by the kernels' rounding bound
+   (:meth:`ExactRBC._slack`) so the rules below stay exact when it is 0.
+3. Pruning discards every other representative ``r`` that provably cannot
+   own a nearest neighbor, by two rules used simultaneously (the paper
+   notes their combination improves empirical performance):
 
    * **psi rule** (inequality (1)): discard if
-     ``rho(q, r) >= gamma + psi_r`` — the whole ball around ``r`` lies
+     ``rho(q, r) >= gamma' + psi_r`` — the whole ball around ``r`` lies
      further than the bound;
-   * **3-gamma rule** (inequality (2) / Lemma 1): discard if
-     ``rho(q, r) > 3 gamma`` — the owner of the NN is within ``3 gamma``.
+   * **owner bound** (Lemma 1's derivation): discard if
+     ``rho(q, r) > 2 gamma' + rho(q, r1)``.  The owner ``r`` of a
+     neighbor ``x`` within ``gamma'`` is at least as near ``x`` as
+     ``r1`` is, and ``rho(x, r1) <= gamma' + rho(q, r1)``.  With
+     ``gamma``, which is at least ``rho(q, r1)``, this is the paper's
+     ``3 gamma`` rule; ``3 gamma'`` would be wrong once
+     ``gamma' < rho(q, r1)``.
 
    Within surviving lists, the sorted order by distance-to-representative
    enables the Claim-2 trim: a nearest neighbor owned by ``r`` satisfies
-   ``rho(x, r) <= rho(q, r) + gamma``, so only a sorted prefix is scanned.
-3. ``BF(q, X[L_1 ∪ ... ∪ L_t])`` over the surviving candidates.
+   ``rho(x, r) <= rho(q, r) + gamma'``, so only a sorted prefix is scanned.
+4. ``BF(q, X[L_1 ∪ ... ∪ L_t])`` over the surviving candidates, without
+   list ``r1``, which round 1 scanned whole.
 
 For k-NN, ``gamma`` is the distance to the k-th nearest representative
-(still an upper bound on the k-th NN distance since ``R ⊂ X``); all three
-rules generalize with that substitution.
+and ``gamma'`` the k-th smallest distance round 1 saw (both upper bounds
+on the k-th NN distance since ``R ⊂ X``); every rule generalizes with
+that substitution.
 
 An approximation knob ``approx_eps`` implements the paper's footnote 1:
-with ``approx_eps = e > 0`` the pruning threshold shrinks from ``gamma`` to
-``gamma / (1 + e)``, which guarantees the returned point is within a factor
-``(1 + e)`` of the true NN distance while pruning more aggressively.
+with ``approx_eps = e > 0`` the psi rule and the trim use
+``gamma' / (1 + e)``, which guarantees the returned point is within a
+factor ``(1 + e)`` of the true NN distance while pruning more
+aggressively.
 
-Stage 2 is *batched*: the pruning rules are broadcast over the whole
+Both scans are *batched*: the pruning rules are broadcast over the whole
 ``(chunk, n_reps)`` stage-1 distance block, the Claim-2 trim is one
-vectorized ``searchsorted`` per representative, and surviving queries are
-grouped by representative so each representative's trimmed prefix is
+vectorized bisection over every kept (query, list) pair, and queries are
+grouped by representative so each representative's (trimmed) list is
 scanned with a single dense ``pairwise`` block (the same matmul-like
 group-by-rep structure as the one-shot search).  This is the paper's core
 argument applied to its own exact algorithm: per-query scalar work
@@ -44,13 +57,16 @@ per query on average, and each query's filter threshold falls from gamma
 to its current k-th distance, so a block admits only candidates that can
 still enter the answer.
 
-The search is written once, as three steps that store no per-call state
-on the index: :meth:`ExactRBC._stage1` (``BF(Q, R)``),
-:meth:`ExactRBC._prune` (gamma, rules, cuts, seeds, counters) and
+The search is written once, as steps that store no per-call state on the
+index: :meth:`ExactRBC._stage1` (``BF(Q, R)``), :meth:`ExactRBC._first`
+(round 1's plan: each query's ``r1`` list and seeds),
+:meth:`ExactRBC._prune` (gamma', rules, cuts, counters),
 :meth:`ExactRBC._scan` (the grouped scan of a chosen set of
-representatives' lists).  :meth:`ExactRBC.query` runs them over all
-representatives; the sharded searcher and the distributed engine run the
-scan once per shard or node (§8: distribute the search by representative).
+representatives' lists, run for round 1 and stage 2) and
+:meth:`ExactRBC._gather` (the final ranking).  :meth:`ExactRBC.query`
+runs them over all representatives; the sharded searcher and the
+distributed engine run each scan once per shard or node, as two scatter
+waves (§8: distribute the search by representative).
 Every distance is float64; the one reduced-precision path is the quantized
 tier (``quantizer=``), whose one certified flat scan only generates
 candidates for a float64 re-rank.
@@ -80,6 +96,11 @@ __all__ = ["ExactRBC"]
 #: holds more than this many times k entries per row on average (this
 #: many times c * k over a c-row chunk)
 _POOL_BOUND = 4
+
+#: bound on the rounding error of one kernel evaluation, relative to the
+#: magnitudes it combines (:meth:`ExactRBC._slack`): 2^13 unit roundoffs,
+#: the worst case of a dot product of ~4,000 terms
+_ROUNDING = 2.0**-40
 
 
 class ExactRBC(RBCBase):
@@ -246,12 +267,14 @@ class ExactRBC(RBCBase):
             lo, hi = chunk
             c = hi - lo
             Dc = D_R[lo:hi]
-            pruned = self._prune(Dc, k, **rules)
             if engine:
                 Qc = Qs.slice(lo, hi)
             else:
                 Qc = self.metric.take(Qb, np.arange(lo, hi))
             with recorder.phase("exact:stage2"):
+                first = self._first(Qc, Dc, k)
+                pool = self._scan(Qc, first, top=k, recorder=recorder)
+                pruned = self._prune(Qc, Dc, first, [pool], **rules)
                 if recorder.enabled:
                     recorder.record(
                         Op(
@@ -262,7 +285,7 @@ class ExactRBC(RBCBase):
                         )
                     )
                 pool = self._scan(Qc, pruned, recorder=recorder)
-                dist, idx = self._gather(Qc, Dc, pruned, [pool], k)
+                dist, idx = self._gather(Qc, pruned, [pool], k)
                 if recorder.enabled:
                     # two (c, k) blocks: float64 distances plus int64 ids
                     recorder.record(
@@ -354,7 +377,8 @@ class ExactRBC(RBCBase):
 
         The one stage-1 step of every exact search: :meth:`query`,
         :meth:`range_query`, and the sharded searcher and distributed
-        engine, which run :meth:`_prune` and :meth:`_scan` themselves.
+        engine, which run :meth:`_first`, :meth:`_prune` and :meth:`_scan`
+        themselves.
         Returns ``(Qop, D_R)``: the prepared query block when the engine
         applies (the raw batch otherwise) and the full ``(m, n_reps)``
         distance matrix, computed in row chunks against the cached
@@ -430,15 +454,18 @@ class ExactRBC(RBCBase):
         return owner, pos
 
     def _estimate_candidate_fraction(self) -> float:
-        """Measured fraction of the live database the pruning rules keep,
-        probed on <= 64 live points standing in as queries (k = 1).
+        """Measured fraction of the live database the search examines,
+        probed on <= 64 live points standing in as queries.
 
         This is the autotuner's flat-vs-grouped input: at low dimension
         the rules prune hard and the float64 grouped scan wins; past
         d ~ 32 on i.i.d. data they keep nearly everything and one flat
-        quantized scan is cheaper.  The probe is a single stage-1 block
-        plus :meth:`_prune` — no stage-2 distances — and runs once per
-        index version (the plan is cached in ``_prep``).
+        quantized scan is cheaper.  The probe is a stage-1 block, round 1
+        and :meth:`_prune` — no stage-2 distances — and runs once per
+        index version (the plan is cached in ``_prep``).  A probe point
+        finds itself in round 1, so the probe asks for 2 neighbors: the
+        second is its nearest other point, the bound a query from the
+        data's own distribution meets.
         """
         self._require_built()
         live = self.active_ids
@@ -446,10 +473,11 @@ class ExactRBC(RBCBase):
         rows = np.random.default_rng(0).choice(
             live, size=probe_m, replace=False
         )
-        D = self.metric.pairwise(
-            self.metric.take(self.X, rows), self.rep_data
-        )
-        kept = int(self._prune(D, 1).cuts.sum())
+        P = self.metric.take(self.X, rows)
+        D = self.metric.pairwise(P, self.rep_data)
+        first = self._first(P, D, 2)
+        pruned = self._prune(P, D, first, [self._scan(P, first, top=2)])
+        kept = pruned.stats.candidates_examined
         return min(1.0, kept / max(1, probe_m * live.size))
 
     def _quant_plan(self):
@@ -513,79 +541,176 @@ class ExactRBC(RBCBase):
             self._prep[key] = ent
         return ent
 
+    def _first(self, Qop, D_R, k) -> "_Pruned":
+        """Round 1's plan for one stage-1 block: each row scans the whole
+        list of its nearest representative ``r1``.
+
+        The row's seeds, its ``kk = min(k, n_reps)`` nearest
+        representatives, are database points whose distances stage 1
+        holds; :meth:`_prune` adds those outside list ``r1`` to round 1's
+        pool.  They put k candidates within gamma, so the scan's
+        threshold starts at gamma, widened like stage 2's (:meth:`_scan`).
+        The plan's counters hold round 1's candidates: list ``r1`` plus
+        those seeds.
+        """
+        c, nr = D_R.shape
+        kk = min(k, nr)
+        seed_cols = np.argpartition(D_R, kk - 1, axis=1)[:, :kk]
+        r1 = np.argmin(D_R, axis=1)
+        gamma = np.full(c, np.inf)
+        if nr >= k:
+            gamma = np.take_along_axis(D_R, seed_cols, axis=1).max(axis=1)
+        thr = gamma + 2.0 * self._slack(Qop, D_R)
+        if self._squared(Qop):
+            thr = self.metric.to_squared(thr)
+        cuts = np.zeros((c, nr), dtype=np.int64)
+        cuts[np.arange(c), r1] = self._packed.lengths[r1]
+        owner, _ = self._rep_positions()
+        outside = np.count_nonzero(owner[seed_cols] != r1[:, None])
+        stats = SearchStats(candidates_examined=int(cuts.sum() + outside))
+        return _Pruned(
+            k, r1, thr, cuts, seed_cols,
+            np.zeros(seed_cols.shape, dtype=bool), _EMPTY_POOL, stats,
+        )
+
+    def _slack(self, Qop, D_R) -> np.ndarray:
+        """``(c,)`` bound on the rounding error of one computed distance
+        from each query row.
+
+        The rules compare three computed distances — stage 1's, the
+        build's and round 1's — against exact inequalities, so
+        :meth:`_prune` widens gamma' by three of these.  Per kernel shape:
+
+        * Gram kernels (``|q|^2 + |x|^2 - 2<q, x>``) cancel, so their error
+          is absolute, at most ``E = _ROUNDING (|q|^2 + max |x|^2)`` in the
+          squared domain, which moves a distance by at most ``sqrt(E)``.
+          Coincident points need not come out 0 apart, and gamma' is 0
+          whenever a query's k nearest are copies of it;
+        * the angular kernel: a cosine off by ``_ROUNDING`` moves an angle
+          near 0 by at most ``sqrt(2 _ROUNDING)``;
+        * kernels that difference coordinates directly err relative to
+          the distance: ``_ROUNDING`` times the largest distance the rules
+          compare.
+        """
+        metric = self.metric
+        kernel = getattr(metric, "prepared_kernel", None)
+        if kernel == "gram":
+            engine = isinstance(Qop, Prepared)
+            q2 = (Qop if engine else metric.prepare(Qop)).sqnorms
+            x2 = self._prep.get(("max_sqnorm", engine))
+            if x2 is None:
+                # the candidate matrix holds every list member (its slack
+                # rows copy a database point)
+                X = self._prepared_cands() if engine else metric.prepare(self.X)
+                x2 = float(X.sqnorms.max())
+                self._prep[("max_sqnorm", engine)] = x2
+            return np.sqrt(_ROUNDING * (q2 + x2))
+        if kernel == "angular":
+            return np.full(len(D_R), np.sqrt(2.0 * _ROUNDING))
+        return _ROUNDING * (D_R.max(axis=1) + self.radii.max())
+
     def _prune(
         self,
+        Qop,
         D_R,
-        k,
+        first,
+        pools,
         *,
         use_psi_rule=True,
         use_3gamma_rule=True,
         use_trim=True,
         approx_eps=0.0,
     ) -> "_Pruned":
-        """The exact search's pruning for one stage-1 block (paper §5.2).
+        """The exact search's pruning for one stage-1 block (paper §5.2),
+        after round 1.
 
-        ``D_R`` is the ``(c, n_reps)`` query-to-representative block.  The
-        psi and 3-gamma rules are broadcast over the whole block, and the
-        Claim-2 trim is one vectorized ``searchsorted`` per surviving
-        representative.  Returns a :class:`_Pruned`;
-        its rule counters are batching-invariant — they equal a per-query
-        run of the same rules.  Stores no per-call state on the index.
+        ``first`` is :meth:`_first`'s plan and ``pools`` the replies of
+        its scans.  Their union with the seeds outside list ``r1`` is
+        round 1's pool; its k-th distance starts every row's stage-2
+        threshold, and widened by :meth:`_slack` it is gamma'.  The psi
+        rule and the owner bound are broadcast over the whole ``(c,
+        n_reps)`` block, list ``r1`` is left out, and the Claim-2 trim is
+        one vectorized bisection over every kept (row, list) pair.
+        Returns stage 2's :class:`_Pruned`; its rule counters are
+        batching-invariant — they equal a per-query run of the same
+        rules.  Stores no per-call state on the index.
         """
         c, nr = D_R.shape
-        # gamma = distance to the k-th nearest representative (upper bound
-        # on the k-th NN distance); inf disables pruning when nr < k
-        if nr >= k:
-            gamma = np.partition(D_R, k - 1, axis=1)[:, k - 1]
-        else:
-            gamma = np.full(c, np.inf)
+        k, r1, seed_cols = first.k, first.r1, first.seed_cols
+        at = np.arange(c)
+        squared = self._squared(Qop)
+        owner, pos = self._rep_positions()
+        # round 1's pool: the r1 lists' replies, then the seeds outside
+        # list r1 at their stage-1 distances
+        rows, col = np.nonzero(owner[seed_cols] != r1[:, None])
+        reps = seed_cols[rows, col]
+        d = D_R[rows, reps]
+        d = self.metric.to_squared(d) if squared else d
+        seeds = (rows, d, self._packed.starts[owner[reps]] + pos[reps])
+        r, d, g, rank = _top([*pools, seeds], c, k)
+        full = rank == k - 1
+        kth = np.full(c, np.inf)
+        kth[r[full]] = d[full]
+        # gamma' <= gamma: the pool holds the k seeds (inf while it holds
+        # fewer than k points).  It widens by the rounding bound three
+        # times for the rules and twice for the scan's threshold
+        if squared:
+            kth = self.metric.from_squared(kth)
+        slack = self._slack(Qop, D_R)
+        gamma = kth + 3.0 * slack
+        thr = kth + 2.0 * slack
+        if squared:
+            thr = self.metric.to_squared(thr)
         ge = gamma / (1.0 + approx_eps)
-        psi = self.radii
         stats = SearchStats(n_queries=c)
 
         keep = np.ones((c, nr), dtype=bool)
+        keep[at, r1] = False  # round 1 scanned it whole
         if use_psi_rule:
-            # inequality (1): rho(q,r) >= gamma + psi_r  =>  discard
-            kept = D_R - psi[None, :] < ge[:, None]
-            stats.pruned_by_psi = int(c * nr - np.count_nonzero(kept))
+            # inequality (1): rho(q,r) >= gamma' + psi_r  =>  discard
+            kept = D_R - self.radii[None, :] < ge[:, None]
+            stats.pruned_by_psi = int(np.count_nonzero(keep & ~kept))
             keep &= kept
         if use_3gamma_rule:
-            # inequality (2) via Lemma 1
-            kept = D_R <= 3.0 * gamma[:, None]
+            # Lemma 1's owner bound: rho(q,r) > 2 gamma' + rho(q,r1)  =>  discard
+            kept = D_R <= (2.0 * gamma + D_R[at, r1])[:, None]
             stats.pruned_by_3gamma = int(np.count_nonzero(keep & ~kept))
             keep &= kept
 
-        # ---- Claim-2 trim: rho(x, r) <= rho(q, r) + gamma bounds a sorted
-        # prefix of each surviving list
+        # ---- Claim-2 trim: rho(x, r) <= rho(q, r) + gamma' bounds a sorted
+        # prefix of each kept list
+        packed = self._packed
+        kr, kj = np.nonzero(keep)
+        size = packed.lengths[kj]
+        cut = size.copy()
+        if use_trim:
+            bound = D_R[kr, kj] + ge[kr]
+            # a bound past the list's radius keeps it whole
+            part = np.flatnonzero(bound < self.radii[kj])
+            cut[part] = _bisect_right(
+                packed.dists, packed.starts[kj[part]], size[part], bound[part]
+            )
+            stats.trimmed_by_4gamma = int(size.sum() - cut.sum())
         cuts = np.zeros((c, nr), dtype=np.int64)
-        list_dists = self.list_dists
-        for j in np.flatnonzero(keep.any(axis=0)):
-            ld = list_dists[j]
-            if ld.size == 0:
-                continue
-            rows = np.flatnonzero(keep[:, j])
-            if use_trim:
-                bound = D_R[rows, j] + ge[rows]
-                cut = np.searchsorted(ld, bound, side="right")
-                stats.trimmed_by_4gamma += int(rows.size * ld.size - cut.sum())
-                cuts[rows, j] = cut
-            else:
-                cuts[rows, j] = ld.size
+        cuts[kr, kj] = cut
 
-        # Seed with the k nearest representatives: they are database points
-        # whose distances are already known (stage 1) to be <= gamma, which
-        # keeps the answer exact even when a boundary tie in rule (1)
-        # discards a representative's own singleton list.  Seeds inside a
-        # scanned prefix are left to the scan, so no candidate repeats.
-        kk = min(k, nr)
-        seed_cols = np.argpartition(D_R, kk - 1, axis=1)[:, :kk]
-        owner, pos = self._rep_positions()
+        # the seeds a stage-2 prefix holds: the scan keeps them, and round
+        # 1's pool gives up their stage-1 copies, so no candidate repeats
+        # and a seed ties its copies on distances from one kernel call
         so = owner[seed_cols]
         so_ok = so >= 0
         cut_at = np.take_along_axis(cuts, np.where(so_ok, so, 0), axis=1)
-        seed_new = ~(so_ok & (pos[seed_cols] < cut_at))
-        stats.candidates_examined = int(cuts.sum() + np.count_nonzero(seed_new))
-        return _Pruned(k, gamma, cuts, seed_cols, seed_new, stats)
+        force = so_ok & (pos[seed_cols] < cut_at)
+        fr, fc = np.nonzero(force)
+        fs = seed_cols[fr, fc]
+        width = packed.ids.size
+        fkey = fr * width + packed.starts[owner[fs]] + pos[fs]
+        drop = np.isin(r * width + g, fkey)
+        stats.candidates_examined = first.stats.candidates_examined + int(
+            cuts.sum() - fr.size
+        )
+        pool = (r[~drop], d[~drop], g[~drop])
+        return _Pruned(k, r1, thr, cuts, seed_cols, force, pool, stats)
 
     def _scan(
         self,
@@ -596,27 +721,29 @@ class ExactRBC(RBCBase):
         top=None,
         recorder=NULL_RECORDER,
     ):
-        """Grouped stage 2 over the Claim-2 prefixes ``pruned`` kept.
+        """Grouped scan of the list prefixes ``pruned`` keeps: round 1's
+        (:meth:`_first`) or stage 2's (:meth:`_prune`).
 
         ``reps`` picks the representatives whose lists are scanned: all of
         them (default) for :meth:`query`, one shard's or node's for the
         distributed callers.  Queries are grouped by representative and
-        each group's trimmed prefix is one dense block — a contiguous
-        slice of the pre-gathered candidate matrix when ``Qop`` is a
-        prepared block (``squared_ok`` metrics then rank in the squared
-        domain), a gather plus ``pairwise`` for the raw batch of a generic
-        metric.  Ragged groups are masked back to each row's own cut.
+        each group's prefix is one dense block — a contiguous slice of the
+        pre-gathered candidate matrix when ``Qop`` is a prepared block
+        (``squared_ok`` metrics then rank in the squared domain), a gather
+        plus ``pairwise`` for the raw batch of a generic metric.  Ragged
+        groups are masked back to each row's own cut.
 
         One selection rule follows every block: a row's threshold starts
-        at gamma, which bounds the k-th NN distance (the k seed
-        representatives are candidates within it), so a scanned candidate
-        beyond it can never enter the top-k.  That bound is widened by a
-        relative slack of 1e-9 so rounding admits extra survivors rather
-        than excluding neighbors.  The seeds a scanned prefix holds always
-        survive: Gram-trick distances of near-coincident points cancel, so
-        their rounding error scales with the norms rather than the
-        distance and can exceed any relative slack, and a row must keep
-        its ``k`` seeds.
+        at ``pruned.thr``, in the domain the scan ranks in — gamma for
+        round 1, round 1's k-th distance for stage 2: k candidates lie
+        within it (the seeds, round 1's pool), so a candidate beyond it
+        can never enter the top-k.  It is widened by twice
+        :meth:`_slack` so a point that ties a pool entry in exact
+        arithmetic is admitted however the two were rounded.  The seeds a
+        stage-2 prefix holds (``pruned.seed_force``) always survive:
+        Gram-trick distances of near-coincident points cancel, so their
+        rounding error scales with the norms rather than the distance,
+        and a row must keep its ``k`` seeds.
 
         The survivor pool stays bounded, the comparison step of the
         paper's BF primitive (§3): whenever it holds more than
@@ -625,12 +752,11 @@ class ExactRBC(RBCBase):
         :func:`_top` keeps each row's ``k`` best, and a row that holds
         ``k`` lowers its threshold to its k-th distance so later blocks
         admit only candidates that can still enter.  A dropped candidate
-        has ``k`` others ahead of it in ``_top``'s stable (distance, pool
-        position) order, which every later ranking keeps, so answers are
-        those of ranking the whole pool once.
-        Returns the survivor pool ``(rows, dists, ids)``; ``top`` keeps
-        only each row's ``top`` nearest (a node's top-k reply).  Stores no
-        per-call state on the index.
+        has ``k`` others strictly nearer, so answers are those of ranking
+        the whole pool once by (distance, slot).  Returns the survivor
+        pool ``(rows, dists, slots)``, a slot being a candidate's position
+        in packed storage; ``top`` keeps only each row's ``top`` nearest
+        (a node's top-k reply).  Stores no per-call state on the index.
         """
         metric = self.metric
         engine = isinstance(Qop, Prepared)
@@ -638,17 +764,15 @@ class ExactRBC(RBCBase):
         dim = metric.dim(self.rep_data)
         if engine:
             Cp = self._prepared_cands()
-            starts = self._packed.starts
-        gamma = pruned.gamma
-        c, k = len(gamma), pruned.k
-        thr = (metric.to_squared(gamma) if squared else gamma) * (1.0 + 1e-9)
+        starts = self._packed.starts
+        c, k = len(pruned.thr), pruned.k
+        thr = pruned.thr.copy()
         lists = self.lists
         live = (pruned.cuts > 0).any(axis=0)
         cols = np.flatnonzero(live) if reps is None else reps[live[reps]]
-        # the seeds inside scanned prefixes as (row, list, position),
-        # grouped by list
+        # the seeds to keep as (row, list, position), grouped by list
         owner, pos = self._rep_positions()
-        s_row, s_col = np.nonzero(~pruned.seed_new)
+        s_row, s_col = np.nonzero(pruned.seed_force)
         s_rep = pruned.seed_cols[s_row, s_col]
         order = np.argsort(owner[s_rep], kind="stable")
         s_row, s_rep = s_row[order], s_rep[order]
@@ -694,7 +818,7 @@ class ExactRBC(RBCBase):
             # 1-D nonzero + divmod beats 2-D nonzero by ~2x here
             flat = np.flatnonzero(mask)
             rr, cc = np.divmod(flat, prefix_len)
-            acc.append((rows[rr], D.reshape(-1)[flat], prefix[cc]))
+            acc.append((rows[rr], D.reshape(-1)[flat], starts[j] + cc))
             n_acc += flat.size
             if n_acc > _POOL_BOUND * c * k:
                 r, d, g, rank = _top(acc, c, k)
@@ -730,28 +854,24 @@ class ExactRBC(RBCBase):
         """Whether scans of ``Qop`` rank in the metric's squared domain."""
         return isinstance(Qop, Prepared) and self.metric.squared_ok
 
-    def _seeds(self, Qop, D_R, pruned):
-        """The seed representatives no scanned prefix holds, as a pool at
-        their stage-1 distances (no new evaluations), in the domain the
-        scans of ``Qop`` rank in."""
-        rows, col = np.nonzero(pruned.seed_new)
-        reps = pruned.seed_cols[rows, col]
-        d = D_R[rows, reps]
-        if self._squared(Qop):
-            d = self.metric.to_squared(d)
-        return rows, d, self.rep_ids[reps]
-
-    def _gather(self, Qop, D_R, pruned, pools, k):
-        """Final selection: the scanned survivor ``pools`` plus the seeds no
-        scanned prefix holds, ranked to each row's ``k`` nearest and mapped
-        back to distances.  Returns ``(dist, idx)`` of shape ``(c, k)``,
-        padded with ``inf``/``-1``."""
-        c = D_R.shape[0]
-        r, d, g, rank = _top([*pools, self._seeds(Qop, D_R, pruned)], c, k)
+    def _gather(self, Qop, pruned, pools, k):
+        """Final selection: round 1's pool (``pruned.pool``) and the
+        stage-2 survivor ``pools``, ranked to each row's ``k`` nearest and
+        mapped back to distances.  Returns ``(dist, idx)`` of shape
+        ``(c, k)``, padded with ``inf``/``-1``."""
+        c = len(pruned.thr)
+        r, d, g, _ = _top([pruned.pool, *pools], c, k)
+        # every live point has one slot, so ties rank alike whatever order
+        # the pools arrive in: any batching, sharding or scan order
+        order = np.lexsort((g, d, r))
+        r, d, g = r[order], d[order], g[order]
+        rank = _row_ranks(r, c)
+        sel = rank < k
+        r, d, g, rank = r[sel], d[sel], g[sel], rank[sel]
         dist = np.full((c, k), np.inf)
         idx = np.full((c, k), EMPTY_IDX, dtype=np.int64)
         dist[r, rank] = d
-        idx[r, rank] = g
+        idx[r, rank] = self._packed.ids[g]
         if self._squared(Qop):
             dist = self.metric.from_squared(dist)
         return dist, idx
@@ -918,33 +1038,71 @@ class ExactRBC(RBCBase):
 
 
 class _Pruned(NamedTuple):
-    """One stage-1 block's pruning decisions (:meth:`ExactRBC._prune`)."""
+    """One stage-1 block's scan plan: round 1's (:meth:`ExactRBC._first`)
+    or stage 2's (:meth:`ExactRBC._prune`)."""
 
     k: int
-    #: (c,) distance to each query's k-th nearest representative
-    gamma: np.ndarray
-    #: (c, n_reps) Claim-2 prefix length per query and list; 0 where the
-    #: psi or 3-gamma rule discarded the representative
+    #: (c,) column of each query's nearest representative, whose whole
+    #: list round 1 scans
+    r1: np.ndarray
+    #: (c,) each row's starting scan threshold, in the scan's domain:
+    #: gamma for round 1, round 1's k-th distance for stage 2, each widened
+    #: by twice :meth:`ExactRBC._slack`
+    thr: np.ndarray
+    #: (c, n_reps) prefix length per query and list; 0 where no scan runs
     cuts: np.ndarray
     #: (c, kk) columns of each query's kk = min(k, n_reps) nearest
     #: representatives, the seeds
     seed_cols: np.ndarray
-    #: (c, kk) seeds that no scanned prefix holds
-    seed_new: np.ndarray
+    #: (c, kk) seeds a stage-2 prefix holds, which the scan always keeps
+    seed_force: np.ndarray
+    #: round 1's pool ``(rows, dists, slots)``, each row's k best
+    pool: tuple
     #: the rule counters (:meth:`SearchStats.rule_counts` fields)
     stats: SearchStats
 
 
+_EMPTY_POOL = (np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64))
+
+
+def _bisect_right(values, starts, sizes, bounds):
+    """``np.searchsorted(values[s:s + n], b, side="right")`` for every
+    (start ``s``, size ``n``, bound ``b``) triple at once: one vectorized
+    binary search over sorted segments of ``values``, lifting each count
+    by halving powers of two while the entry it would admit is ``<= b``."""
+    n = np.asarray(sizes, dtype=np.int64)
+    base = starts - 1
+    pos = np.zeros(n.size, dtype=np.int64)
+    step = 1 << int(n.max(initial=0)).bit_length()
+    while step > 1:
+        step >>= 1
+        nxt = pos + step
+        ok = nxt <= n
+        ok &= values[base + np.minimum(nxt, n)] <= bounds
+        pos = np.where(ok, nxt, pos)
+    return pos
+
+
 def _top(pools, c, k=None):
     """Rank survivor pools per query row: one stable sort by (row,
-    distance) over their concatenation.  Returns ``(rows, dists, ids,
-    rank)`` of each row's ``k`` nearest entries (all when ``k`` is
-    ``None``), ``rank`` being the position within the row."""
+    distance) over their concatenation.  Returns ``(rows, dists, slots,
+    rank)``, ``rank`` being the position within the row; with ``k``, only
+    each row's entries within its k-th distance: its ``k`` nearest and any
+    tied with the k-th, so the final ranking (:meth:`ExactRBC._gather`),
+    which breaks ties by slot, still sees every tie."""
     r, d, g = (np.concatenate(part) for part in zip(*pools))
     order = np.lexsort((d, r))
     r, d, g = r[order], d[order], g[order]
-    rank = np.arange(r.size) - np.searchsorted(r, np.arange(c + 1))[r]
+    rank = _row_ranks(r, c)
     if k is not None:
-        sel = rank < k
+        kth = np.full(c, np.inf)
+        full = rank == k - 1
+        kth[r[full]] = d[full]
+        sel = d <= kth[r]
         r, d, g, rank = r[sel], d[sel], g[sel], rank[sel]
     return r, d, g, rank
+
+
+def _row_ranks(r, c):
+    """Position of each entry within its row, for ``r`` sorted."""
+    return np.arange(r.size) - np.searchsorted(r, np.arange(c + 1))[r]

@@ -20,15 +20,17 @@ class SearchStats:
     n_queries: int = 0
     #: distance evaluations in the query-to-representatives stage
     stage1_evals: int = 0
-    #: distance evaluations against ownership-list candidates
+    #: distance evaluations against ownership-list candidates (round 1
+    #: and stage 2)
     stage2_evals: int = 0
     #: representatives discarded by the psi-radius rule, summed over queries
     pruned_by_psi: int = 0
-    #: representatives discarded by the 3-gamma rule (Lemma 1)
+    #: representatives discarded by Lemma 1's owner bound (the paper's
+    #: 3-gamma rule, applied with round 1's tighter gamma')
     pruned_by_3gamma: int = 0
     #: candidate points skipped by the sorted-list 4-gamma trim (Claim 2)
     trimmed_by_4gamma: int = 0
-    #: candidate points actually examined in stage 2
+    #: candidate points actually examined, round 1 included
     candidates_examined: int = 0
     #: quantized-tier report when the query ran on compressed codes
     #: (strategy, quantizer, backend, over-fetch bound, recall before the

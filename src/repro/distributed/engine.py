@@ -7,8 +7,9 @@ Two engines over the same :class:`~repro.distributed.cluster.ClusterSpec`:
   with their complete ownership lists.  A query is pruned at the
   coordinator by the exact search's own pruning step (one small
   ``BF(Q, R)`` — the representative table is tiny, O(√n), and lives on the
-  coordinator), then travels only to the nodes whose lists keep a Claim-2
-  prefix for it.  The second brute-force stage is the exact search's own
+  coordinator), after one round on the node that owns its nearest
+  representative, then travels only to the nodes whose lists keep a
+  Claim-2 prefix for it.  Both list scans are the exact search's own
   grouped scan, run node-locally over each node's lists, and the result
   merge is k values per contacted node.  Answers are
   :meth:`ExactRBC.query <repro.core.exact.ExactRBC.query>`'s.
@@ -174,12 +175,16 @@ class DistributedRBC:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Exact k-NN over the cluster; cost breakdown in ``last_report``.
 
-        The coordinator runs stage 1 and :meth:`ExactRBC._prune
-        <repro.core.exact.ExactRBC._prune>`; each node runs
-        :meth:`ExactRBC._scan <repro.core.exact.ExactRBC._scan>` over its
-        own representatives and replies with its top-k; the coordinator
-        ranks the replies with the seeds no node scanned.  Answers are
-        :meth:`ExactRBC.query <repro.core.exact.ExactRBC.query>`'s.
+        The coordinator runs stage 1; a first wave sends each query to
+        the node that owns its nearest representative, which scans that
+        list (round 1); the coordinator reduces gamma' and runs
+        :meth:`ExactRBC._prune <repro.core.exact.ExactRBC._prune>`; a
+        second wave sends each query to the nodes whose lists keep a
+        Claim-2 prefix.  Each node runs :meth:`ExactRBC._scan
+        <repro.core.exact.ExactRBC._scan>` over its own representatives
+        and replies with its top-k; the coordinator ranks round 1's pool
+        with the stage-2 replies.  Answers are :meth:`ExactRBC.query
+        <repro.core.exact.ExactRBC.query>`'s.
 
         ``ctx.recorder`` (when set) additionally receives the coordinator
         and node-scan operation phases, so a distributed run shows up in a
@@ -199,7 +204,7 @@ class DistributedRBC:
         nr = index.n_reps
 
         query_span = tracer.start_span("dist:query", engine="rbc", m=m, k=k)
-        # ---- coordinator: BF(Q, R) and the exact search's pruning
+        # ---- coordinator: BF(Q, R)
         coord_rec = TraceRecorder()
         with tracer.span_under(query_span.context, "dist:coord", n_reps=nr), \
                 run_rec.phase("coord:stage1"), coord_rec.phase("coord:stage1"):
@@ -207,66 +212,102 @@ class DistributedRBC:
             _record_dist_tile(coord_rec, metric, m, nr, dim, "coord:stage1")
             if run_rec.enabled:
                 _record_dist_tile(run_rec, metric, m, nr, dim, "coord:stage1")
-        pruned = index._prune(D_R, k)
         coordinator_s = simulate(coord_rec.trace, cluster.coordinator_spec).time_s
 
-        # ---- per node: route the queries its lists keep a Claim-2 prefix
-        # for, scan them there, and count the traffic.  The query span's
-        # context is part of each coordinator->node message; nodes record
-        # their scans under it and ship the finished spans back.
+        # ---- two waves: round 1 on the node that owns each query's
+        # nearest representative, then the coordinator reduces gamma' and
+        # prunes, and stage 2 goes to the nodes whose lists keep a Claim-2
+        # prefix.  The query span's context is part of each
+        # coordinator->node message; nodes record their scans under it and
+        # ship the finished spans back.
         span_ctx = query_span.context if tracer.enabled else None
-        node_evals, node_times, replies = [], [], []
-        bytes_to, bytes_from = [], []
-        messages = 0
-        with run_rec.phase("node:scan"):
-            for w, reps in enumerate(self.node_reps):
-                reps = np.asarray(reps, dtype=np.int64)
-                cuts = pruned.cuts[:, reps]
-                n_parts = np.count_nonzero(cuts, axis=1)
-                rows = np.flatnonzero(n_parts)
-                evals = cuts[rows].sum(axis=1).tolist()
-                # message: query vector + gamma + per-rep (id, cut bound);
-                # reply: the node's top-k
-                sent = (dim + 1) * _FLOAT_BYTES + n_parts[rows] * (
-                    _ID_BYTES + _FLOAT_BYTES
-                )
-                bytes_to.append(float(sent.sum()))
-                bytes_from.append(rows.size * k * (_FLOAT_BYTES + _ID_BYTES))
-                messages += int(rows.size)
-                node_evals.append(int(sum(evals)))
-                ntracer = _node_tracer(span_ctx)
-                with ntracer.span(
-                    "dist:node", node=w, n_queries=int(rows.size)
-                ) as nspan:
-                    replies.append(
-                        index._scan(Qop, pruned, reps, top=k, recorder=run_rec)
-                    )
-                    nspan.set(evals=node_evals[w])
-                tracer.adopt(ntracer.export())
-                node_times.append(
-                    _node_compute_time(cluster.nodes[w], metric, dim, evals)
-                )
+        first = index._first(Qop, D_R, k)
+        replies, wave1 = self._wave(Qop, first, k, span_ctx, rctx)
+        pruned = index._prune(Qop, D_R, first, replies)
+        replies, wave2 = self._wave(Qop, pruned, k, span_ctx, rctx)
+        messages = wave1.messages + wave2.messages
 
         # ---- gather + merge at the coordinator
         with tracer.span_under(
             query_span.context, "dist:merge", n_messages=messages
         ):
-            out_d, out_i = index._gather(Qop, D_R, pruned, replies, k)
+            out_d, out_i = index._gather(Qop, pruned, replies, k)
 
         merge_s = _merge_time(cluster, m, k, messages)
         tracer.finish(query_span)
+        waves = (wave1, wave2)
         self.last_report = DistRunReport(
             n_queries=m,
-            node_evals=node_evals,
-            comm=CommStats(bytes_to, bytes_from, messages),
+            node_evals=[a + b for a, b in zip(wave1.evals, wave2.evals)],
+            comm=CommStats(
+                [a + b for a, b in zip(wave1.bytes_to, wave2.bytes_to)],
+                [a + b for a, b in zip(wave1.bytes_from, wave2.bytes_from)],
+                messages,
+            ),
             coordinator_s=coordinator_s,
-            scatter_s=cluster.comm_phase_time(bytes_to),
-            compute_s=max(node_times) if node_times else 0.0,
-            gather_s=cluster.comm_phase_time(bytes_from),
+            scatter_s=sum(cluster.comm_phase_time(w.bytes_to) for w in waves),
+            compute_s=sum(max(w.times, default=0.0) for w in waves),
+            gather_s=sum(cluster.comm_phase_time(w.bytes_from) for w in waves),
             merge_s=merge_s,
-            node_compute_s=node_times,
+            node_compute_s=[a + b for a, b in zip(wave1.times, wave2.times)],
         )
         return out_d, out_i
+
+    def _wave(self, Qop, plan, k, span_ctx, rctx):
+        """One scatter wave of ``plan``'s scans: each node runs
+        :meth:`ExactRBC._scan <repro.core.exact.ExactRBC._scan>` over its
+        own representatives for the queries its lists keep a prefix for,
+        and replies with their top-k.  Returns the replies and the wave's
+        per-node evaluations, modeled compute seconds and traffic."""
+        index, metric, cluster = self.index, self.metric, self.cluster
+        dim = metric.dim(index.rep_data)
+        wave = _NodeWave()
+        replies = []
+        with rctx.recorder.phase("node:scan"):
+            for w, reps in enumerate(self.node_reps):
+                reps = np.asarray(reps, dtype=np.int64)
+                cuts = plan.cuts[:, reps]
+                n_parts = np.count_nonzero(cuts, axis=1)
+                rows = np.flatnonzero(n_parts)
+                evals = cuts[rows].sum(axis=1).tolist()
+                # message: query vector + threshold + per-rep (id, cut
+                # bound); reply: the node's top-k
+                sent = (dim + 1) * _FLOAT_BYTES + n_parts[rows] * (
+                    _ID_BYTES + _FLOAT_BYTES
+                )
+                wave.bytes_to.append(float(sent.sum()))
+                wave.bytes_from.append(
+                    rows.size * k * (_FLOAT_BYTES + _ID_BYTES)
+                )
+                wave.messages += int(rows.size)
+                wave.evals.append(int(sum(evals)))
+                ntracer = _node_tracer(span_ctx)
+                with ntracer.span(
+                    "dist:node", node=w, n_queries=int(rows.size)
+                ) as nspan:
+                    replies.append(
+                        index._scan(
+                            Qop, plan, reps, top=k, recorder=rctx.recorder
+                        )
+                    )
+                    nspan.set(evals=wave.evals[w])
+                rctx.tracer.adopt(ntracer.export())
+                wave.times.append(
+                    _node_compute_time(cluster.nodes[w], metric, dim, evals)
+                )
+        return replies, wave
+
+
+@dataclass
+class _NodeWave:
+    """One scatter wave's per-node accounting (:meth:`DistributedRBC._wave`)."""
+
+    evals: list[int] = field(default_factory=list)
+    #: modeled compute seconds
+    times: list[float] = field(default_factory=list)
+    bytes_to: list[float] = field(default_factory=list)
+    bytes_from: list[float] = field(default_factory=list)
+    messages: int = 0
 
 
 class DistributedBruteForce:

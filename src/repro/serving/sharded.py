@@ -7,28 +7,32 @@ across ``n_shards`` simulated nodes (each shard owns a set of
 representatives together with their complete ownership lists, via
 :func:`~repro.distributed.partition.partition_by_representatives`), and
 serves every micro-batch the adaptive
-:class:`~repro.serving.batcher.QueryBatcher` forms with one
-scatter-gather wave:
+:class:`~repro.serving.batcher.QueryBatcher` forms with two
+scatter-gather waves, the exact search's two list scans:
 
-1. **coordinator stage 1**: ``BF(Q_batch, R)`` with distances retained
-   and the exact search's pruning (:meth:`ExactRBC._prune
-   <repro.core.exact.ExactRBC._prune>`: gamma, the psi / 3-gamma rules
-   and the Claim-2 cuts), so each query's surviving list prefixes are
-   known before anything leaves the coordinator;
-2. **scatter**: each query is routed only to the shards owning at least
-   one list that keeps a non-empty prefix for it (an empty shard is
-   never contacted and never charged communication);
-3. **shard scan**: each contacted shard runs :meth:`ExactRBC._scan
-   <repro.core.exact.ExactRBC._scan>` over its own representatives — the
-   same prepared float64 grouped scan as :meth:`ExactRBC.query
-   <repro.core.exact.ExactRBC.query>` — and replies with each routed
-   query's top-k survivors;
-4. **gather + merge**: the replies and the seed representatives no
-   scanned prefix holds are ranked once (no candidate arrives twice, so
-   nothing needs deduplicating) and re-scored with the
-   batching-invariant paired kernel — the same re-ranking the
-   single-node searcher applies, so a sharded server's answers *and
-   rule counters* equal an unsharded
+1. **coordinator stage 1**: ``BF(Q_batch, R)`` with distances retained,
+   and round 1's plan (:meth:`ExactRBC._first
+   <repro.core.exact.ExactRBC._first>`): each query's nearest
+   representative ``r1`` and its seeds;
+2. **wave 1 (round 1)**: each query goes to the one shard that owns
+   ``r1``, which scans that whole list with :meth:`ExactRBC._scan
+   <repro.core.exact.ExactRBC._scan>` and replies with the query's
+   top-k;
+3. **coordinator pruning**: the replies and the seeds give gamma', and
+   :meth:`ExactRBC._prune <repro.core.exact.ExactRBC._prune>` applies
+   the psi rule, the owner bound and the Claim-2 cuts, so each query's
+   surviving list prefixes are known before the second wave leaves;
+4. **wave 2 (stage 2)**: each query is routed only to the shards owning
+   at least one list that keeps a non-empty prefix for it (an empty
+   shard is never contacted and never charged communication); each
+   contacted shard runs the same prepared float64 grouped scan as
+   :meth:`ExactRBC.query <repro.core.exact.ExactRBC.query>` over its own
+   representatives and replies with each routed query's top-k;
+5. **gather + merge**: round 1's pool and the stage-2 replies are ranked
+   once (no candidate arrives twice, so nothing needs deduplicating) and
+   re-scored with the batching-invariant paired kernel — the same
+   re-ranking the single-node searcher applies, so a sharded server's
+   answers *and rule counters* equal an unsharded
    :class:`~repro.serving.searcher.StreamingSearcher` over the same index.
 
 **Stragglers and failures.**  Shards are simulated in-process, so each
@@ -38,12 +42,14 @@ completions.  With ``replicas > 1`` every shard is a replica group, and
 ``hedge=True`` re-issues a straggler's task to a replica once the task
 has been outstanding past a latency-quantile cutoff (the classic
 tail-at-scale hedged request); a dead primary (delay ``inf``) is then
-survivable, and a merely slow one stops dictating the batch's p99.  Each
-hedge wave counts as an extra scatter-gather **round** — the adaptivity
-measure of the distributed-kNN literature — and every round's traffic is
-charged to the per-shard :class:`~repro.distributed.cluster.CommStats`
-(alpha-beta time when a :class:`~repro.distributed.cluster.ClusterSpec`
-is attached).
+survivable, and a merely slow one stops dictating the batch's p99.  A
+shard hedged in the first wave is still busy with that task, so its
+second-wave task goes straight to the replica.  Each
+wave with tasks and each hedge wave counts as a scatter-gather **round**
+— the adaptivity measure of the distributed-kNN literature — and every
+round's traffic is charged to the per-shard
+:class:`~repro.distributed.cluster.CommStats` (alpha-beta time when a
+:class:`~repro.distributed.cluster.ClusterSpec` is attached).
 """
 
 from __future__ import annotations
@@ -112,6 +118,24 @@ class _ShardTally:
 
     def copy(self) -> "_ShardTally":
         return _ShardTally(**vars(self))
+
+
+@dataclass
+class _Wave:
+    """One scatter-gather wave's accounting
+    (:meth:`ShardedStreamingSearcher._wave`)."""
+
+    #: measured scan wall per contacted shard
+    walls: dict
+    #: shards whose task was re-issued to a replica after the cutoff
+    hedged: list
+    #: tasks answered by a replica: the re-issued ones, plus those sent
+    #: straight to one because the primary straggled in the first wave
+    hedges: int
+    #: 1 for a wave with tasks, plus 1 for its hedge wave
+    rounds: int
+    #: modeled seconds: communication plus the slowest shard completion
+    wait_s: float
 
 
 class ShardedStreamingSearcher(StreamingSearcher):
@@ -262,37 +286,89 @@ class ShardedStreamingSearcher(StreamingSearcher):
     def _timed_dispatch(
         self, Qb: np.ndarray, width: int | None = None
     ) -> tuple[np.ndarray, np.ndarray, float]:
-        """One micro-batch as a scatter-gather wave over the shards.
+        """One micro-batch as two scatter-gather waves over the shards.
 
         Returns the bit-identical answers plus the *modeled* service
-        time: measured coordinator work + communication (when a cluster
-        is attached) + the max over shard-task completions, hedging
-        included.  The scans run inline (the shards are simulated), so
-        the measured walls feed the model instead of the clock.
-        ``width`` overrides the dispatch top-k (default ``self.k``).
+        time: measured coordinator work + each wave's communication (when
+        a cluster is attached) and max over its shard-task completions,
+        hedging included.  The scans run inline (the shards are
+        simulated), so the measured walls feed the model instead of the
+        clock.  ``width`` overrides the dispatch top-k (default
+        ``self.k``).
         """
         t_start = time.perf_counter()
         index = self.index
         k = self.k if width is None else int(width)
-        tracer = self.ctx.tracer
 
-        # ---- coordinator stage 1 and the exact search's pruning
+        # ---- coordinator stage 1, then round 1 on the shard that owns
+        # each query's nearest representative
         Qop, D_R = index._stage1(Qb)
-        pruned = index._prune(D_R, k)
+        first = index._first(Qop, D_R, k)
+        dim = int(Qb.shape[1])
+        replies, wave1 = self._wave(Qop, first, k, dim)
+        # ---- the coordinator reduces gamma' and prunes; stage 2 goes to
+        # the shards whose lists keep a Claim-2 prefix
+        pruned = index._prune(Qop, D_R, first, replies)
         counts = self.rule_counts
         for key, val in pruned.stats.rule_counts().items():
             counts[key] = counts.get(key, 0) + val
+        partials, wave2 = self._wave(Qop, pruned, k, dim, wave1.hedged)
 
-        # ---- scatter: route each query to the shards whose lists keep a
-        # Claim-2 prefix for it
+        # ---- gather + merge: round 1's pool and the shards' stage-2
+        # replies, ranked once
+        dist, idx = index._gather(Qop, pruned, partials, k)
+
+        # the same batching-invariant re-ranking as the base searcher —
+        # this is what makes sharded and single-node answers `==`
+        if self.rescore:
+            d = rescore_pairs(index.metric, Qb, index.X, idx)
+            order = np.argsort(d, axis=1, kind="stable")
+            dist = np.take_along_axis(d, order, axis=1)
+            idx = np.take_along_axis(idx, order, axis=1)
+            idx = np.where(np.isfinite(dist), idx, -1)
+
+        waves = (wave1, wave2)
+        scanned = sum(sum(w.walls.values()) for w in waves)
+        coord_wall = (time.perf_counter() - t_start) - scanned
+        service = coord_wall + sum(w.wait_s for w in waves)
+        rounds = sum(w.rounds for w in waves)
+        self.rounds += rounds
+        shards = sorted(set(wave1.walls) | set(wave2.walls))
+        hedges = wave1.hedges + wave2.hedges
+        # EXPLAIN hook: scatter-gather shape of this dispatch
+        self._last_wave = {
+            "fan_out": len(shards),
+            "shards": shards,
+            "hedges": hedges,
+            "rounds": rounds,
+        }
+        if self.metrics is not None and rounds:
+            self._m_rounds.inc(rounds)
+        return dist, idx, service
+
+    def _wave(
+        self, Qop, plan, k: int, dim: int, avoid=()
+    ) -> tuple[list, "_Wave"]:
+        """One scatter-gather wave of ``plan``'s scans
+        (:meth:`ExactRBC._scan <repro.core.exact.ExactRBC._scan>`).
+
+        Each query is routed only to the shards owning a list ``plan``
+        keeps a prefix of; each contacted shard scans its own
+        representatives and replies with each routed query's top-k.
+        Tasks for the shards in ``avoid`` go straight to a replica.
+        Returns the replies and the wave's accounting: measured scan
+        walls, hedged shards, rounds, and the modeled wait (the max over
+        shard completions plus communication).
+        """
+        index = self.index
+        tracer = self.ctx.tracer
         shard_rows = [
-            np.flatnonzero((pruned.cuts[:, reps] > 0).any(axis=1))
+            np.flatnonzero((plan.cuts[:, reps] > 0).any(axis=1))
             for reps in self.shard_reps
         ]
 
-        # ---- shard scans (simulated in-process, walls measured per task):
-        # each shard replies with its top-k survivors
-        partials = []
+        # ---- shard scans (simulated in-process, walls measured per task)
+        replies = []
         walls: dict[int, float] = {}
         for w, rows in enumerate(shard_rows):
             if rows.size == 0:
@@ -300,12 +376,12 @@ class ShardedStreamingSearcher(StreamingSearcher):
             reps = self.shard_reps[w]
             with tracer.span("serve:shard", shard=w, queries=int(rows.size)):
                 t0 = time.perf_counter()
-                partials.append(index._scan(Qop, pruned, reps, top=k))
+                replies.append(index._scan(Qop, plan, reps, top=k))
                 walls[w] = time.perf_counter() - t0
             tally = self.shard_tallies[w]
             tally.tasks += 1
             tally.queries += int(rows.size)
-            tally.evals += int(pruned.cuts[:, reps].sum())
+            tally.evals += int(plan.cuts[:, reps].sum())
 
         # ---- straggler handling: completion per task, hedged if due
         cutoff = np.inf
@@ -313,11 +389,18 @@ class ShardedStreamingSearcher(StreamingSearcher):
             cutoff = _hedge_cutoff(self._completions, self.policy.max_delay_s)
         completions: dict[int, float] = {}
         hedged: list[int] = []
+        redirected: list[int] = []
         for w, wall in walls.items():
             primary = wall + self._delay(w, 0)
             completion = primary
             busy = wall
-            if primary > cutoff:
+            if w in avoid:
+                # the primary straggled in this batch's first wave and is
+                # still busy with it: the task goes to the replica at once
+                completion = wall + self._delay(w, self._hedge_target(w))
+                redirected.append(w)
+                self.shard_tallies[w].hedges += 1
+            elif primary > cutoff:
                 r = self._hedge_target(w)
                 # the replica starts at the cutoff and repeats the scan
                 completion = min(primary, cutoff + wall + self._delay(w, r))
@@ -333,12 +416,9 @@ class ShardedStreamingSearcher(StreamingSearcher):
             completions[w] = completion
             self.shard_tallies[w].busy_s += busy
             self._completions.append(completion)
-        self.hedges += len(hedged)
-        rounds = (1 if walls else 0) + (1 if hedged else 0)
-        self.rounds += rounds
+        self.hedges += len(hedged) + len(redirected)
 
         # ---- communication accounting (hedge waves re-pay their traffic)
-        dim = int(Qb.shape[1])
         scatter = [0.0] * self.n_shards
         gather = [0.0] * self.n_shards
         for w, rows in enumerate(shard_rows):
@@ -347,38 +427,12 @@ class ShardedStreamingSearcher(StreamingSearcher):
             mult = 2.0 if w in hedged else 1.0
             scatter[w] = mult * rows.size * dim * _FLOAT_BYTES
             gather[w] = mult * rows.size * k * (_FLOAT_BYTES + _ID_BYTES)
-        msgs = 2 * len(walls) + 2 * len(hedged)
-        self.comm.add(CommStats(scatter, gather, msgs))
+        self.comm.add(CommStats(scatter, gather, 2 * len(walls) + 2 * len(hedged)))
         comm_s = 0.0
         if self.cluster is not None and walls:
             comm_s = self.cluster.comm_phase_time(
                 scatter
             ) + self.cluster.comm_phase_time(gather)
-
-        # ---- gather + merge: the shards' replies and the seeds no shard
-        # scanned, ranked once
-        dist, idx = index._gather(Qop, D_R, pruned, partials, k)
-
-        # the same batching-invariant re-ranking as the base searcher —
-        # this is what makes sharded and single-node answers `==`
-        if self.rescore:
-            d = rescore_pairs(index.metric, Qb, index.X, idx)
-            order = np.argsort(d, axis=1, kind="stable")
-            dist = np.take_along_axis(d, order, axis=1)
-            idx = np.take_along_axis(idx, order, axis=1)
-            idx = np.where(np.isfinite(dist), idx, -1)
-
-        coord_wall = (time.perf_counter() - t_start) - sum(walls.values())
-        service = coord_wall + comm_s + (
-            max(completions.values()) if completions else 0.0
-        )
-        # EXPLAIN hook: scatter-gather shape of this dispatch
-        self._last_wave = {
-            "fan_out": len(walls),
-            "shards": sorted(walls),
-            "hedges": len(hedged),
-            "rounds": rounds,
-        }
 
         if self.metrics is not None:
             for w in walls:
@@ -389,11 +443,12 @@ class ShardedStreamingSearcher(StreamingSearcher):
                 self._m_shard_busy.set(
                     self.shard_tallies[w].busy_s, shard=w
                 )
-            for w in hedged:
+            for w in hedged + redirected:
                 self._m_shard_hedges.inc(shard=w)
-            if rounds:
-                self._m_rounds.inc(rounds)
-        return dist, idx, service
+        wait = comm_s + (max(completions.values()) if completions else 0.0)
+        rounds = (1 if walls else 0) + (1 if hedged else 0)
+        n_hedges = len(hedged) + len(redirected)
+        return replies, _Wave(walls, hedged, n_hedges, rounds, wait)
 
     # ------------------------------------------------------- report plumbing
     def _snapshot(self):

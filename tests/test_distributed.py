@@ -240,15 +240,19 @@ def test_skewed_shards_charge_active_nodes_only(rng):
 @pytest.mark.parametrize("n_nodes", [1, 2, 4])
 def test_single_node_parity_with_exact_rbc(clustered, n_nodes):
     # DistributedRBC runs ExactRBC's own pruning and scan steps, split by
-    # node: same neighbor ids, same distances, for any node count
+    # node: same neighbor ids, same distances, for any node count.  The
+    # second case repeats every row three times and queries data points,
+    # so round 1 finds k = 3 copies and gamma' is 0
     X, Q = clustered
+    dup = np.repeat(X[:1000], 3, axis=0)
     cluster = ClusterSpec.homogeneous(n_nodes, DESKTOP_QUAD)
-    eng = DistributedRBC(cluster, seed=0).build(X, n_reps=120)
-    local = ExactRBC(seed=0).build(X, n_reps=120)
-    dd, di = eng.query(Q, k=3)
-    ld, li = local.query(Q, k=3)
-    np.testing.assert_array_equal(di, li)
-    np.testing.assert_array_equal(dd, ld)
+    for X, Q in [(X, Q), (dup, dup[::60])]:
+        eng = DistributedRBC(cluster, seed=0).build(X, n_reps=120)
+        local = ExactRBC(seed=0).build(X, n_reps=120)
+        dd, di = eng.query(Q, k=3)
+        ld, li = local.query(Q, k=3)
+        np.testing.assert_array_equal(di, li)
+        np.testing.assert_array_equal(dd, ld)
 
 
 @pytest.mark.parametrize("n_nodes", [1, 2, 4])

@@ -122,12 +122,54 @@ def test_scan_pool_stays_bounded():
     k = 5
     index = ExactRBC(seed=0).build(X)
     Qs, D_R = index._stage1(Q)
-    pruned = index._prune(D_R, k)
+    first = index._first(Qs, D_R, k)
+    pruned = index._prune(Qs, D_R, first, [index._scan(Qs, first, top=k)])
     pool = index._scan(Qs, pruned)
     assert pool[0].size <= _POOL_BOUND * k * len(Q)
-    d, _ = index._gather(Qs, D_R, pruned, [pool], k)
+    d, _ = index._gather(Qs, pruned, [pool], k)
     true_d, _ = bf_knn(Q, X, k=k)
     np.testing.assert_allclose(d, true_d, rtol=1e-9, atol=1e-7)
+
+
+def test_owner_bound_keeps_neighbor_beyond_3_gamma_prime():
+    # On a line: q = 0, representatives r1 = 10 and r2 = -11.  Round 1
+    # scans r1's list and finds p = 1, so gamma' = 1 < rho(q, r1) = 10.
+    # The true neighbor x = -0.6 is owned by r2 (10.4 < 10.6), and
+    # rho(q, r2) = 11 lies beyond 3 gamma' = 3 but within Lemma 1's
+    # 2 gamma' + rho(q, r1) = 12
+    X = np.array([[10.0], [-11.0], [1.0], [-0.6]])
+    with mock.patch.object(
+        repro.core.exact, "sample_representatives",
+        return_value=np.array([0, 1]),
+    ):
+        rbc = ExactRBC(seed=0).build(X, n_reps=2)
+    assert [lst.tolist() for lst in rbc.lists] == [[0, 2], [1, 3]]
+    d, i = rbc.query(np.array([[0.0]]), k=1)
+    assert i[0, 0] == 3
+    np.testing.assert_allclose(d[0, 0], 0.6)
+    assert rbc.last_stats.pruned_by_3gamma == 0
+
+
+def test_vectorized_trim_matches_searchsorted():
+    # the Claim-2 trim's one bisection over (start, size, bound) triples
+    # cuts every sorted segment where searchsorted(side="right") does,
+    # ties, empty segments and out-of-range bounds included
+    from repro.core.exact import _bisect_right
+
+    rng = np.random.default_rng(0)
+    sizes = rng.integers(0, 40, size=30)
+    starts = np.concatenate([[0], np.cumsum(sizes + 2)[:-1]])
+    values = np.zeros(int(starts[-1] + sizes[-1] + 2))
+    for s, n in zip(starts, sizes):
+        values[s : s + n] = np.sort(rng.integers(0, 10, size=n)).astype(float)
+    pick = rng.integers(0, sizes.size, size=500)
+    bounds = rng.integers(-2, 12, size=500).astype(float)
+    got = _bisect_right(values, starts[pick], sizes[pick], bounds)
+    want = [
+        np.searchsorted(values[starts[j] : starts[j] + sizes[j]], b, side="right")
+        for j, b in zip(pick, bounds)
+    ]
+    np.testing.assert_array_equal(got, want)
 
 
 def test_integer_grid_ties_exact():
@@ -313,7 +355,9 @@ FINITE = st.floats(min_value=-50, max_value=50, allow_nan=False)
 )
 def test_property_exact_equals_brute(X, k, copies, seed):
     # repeated rows tie exactly, and small pools overflow the scan's
-    # per-row bound, so its compactions run on ties
+    # per-row bound, so its compactions run on ties.  The queries are
+    # data points, so whenever k <= copies round 1 finds k copies and
+    # gamma' is 0: only the rounding slack keeps the rules exact
     X = np.repeat(X, copies, axis=0)
     Q = X[::7]
     true_d, _ = bf_knn(Q, X, k=k)
@@ -321,6 +365,8 @@ def test_property_exact_equals_brute(X, k, copies, seed):
     d, i = rbc.query(Q, k=k)
     # atol covers the Gram-trick cancellation noise at coordinate scale 50
     np.testing.assert_allclose(d, true_d, rtol=1e-9, atol=2e-5)
+    if k <= copies:
+        assert (d <= 2e-5).all()
     # a bound no pool reaches never compacts: ranking every candidate
     # within gamma once must give the same ids and distances, ties included
     with mock.patch.object(repro.core.exact, "_POOL_BOUND", 10**9):

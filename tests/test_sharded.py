@@ -34,6 +34,8 @@ POLICY = BatchPolicy(max_delay_ms=50.0, max_batch=32)
         pytest.param(1, 1, id="1"),
         pytest.param(2, 1, id="2"),
         pytest.param(4, 1, id="4"),
+        pytest.param(1, 3, id="1-duplicates"),
+        pytest.param(2, 3, id="2-duplicates"),
         pytest.param(4, 4, id="4-duplicates"),
     ],
 )
@@ -41,7 +43,8 @@ def test_sharded_bit_identical_to_single_node(served_index, n_shards, copies):
     index, Q = served_index
     if copies > 1:
         # repeated rows tie exactly: every scan's bounded pool and the
-        # merge must keep the single-node tie order
+        # merge must keep the single-node tie order.  The queries are data
+        # points and k <= copies, so gamma' is 0
         X = np.repeat(index.X[: len(index.X) // copies], copies, axis=0)
         index = ExactRBC(seed=0).build(X)
         Q = X[:: len(X) // len(Q)]

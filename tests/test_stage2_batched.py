@@ -18,12 +18,19 @@ from repro.parallel.reduce import EMPTY_IDX
 
 def reference_query(index, Q, k, *, use_psi_rule=True, use_3gamma_rule=True,
                     use_trim=True, approx_eps=0.0):
-    """Per-query mirror of the exact stage 2 (the pre-batching formulation).
+    """Per-query mirror of the exact search after stage 1.
 
-    Semantics: psi / 3-gamma rules per representative, Claim-2 prefix trim,
-    candidates gathered per query, seeded with the k nearest representatives
-    (their stage-1 distances reused, like the batched kernel).  Returns
-    ``(dist, idx, counts)`` with ``counts`` matching ``SearchStats.rule_counts``.
+    Semantics: round 1 scans the whole list of the nearest representative
+    r1 and adds the k nearest representatives (the seeds, at their stage-1
+    distances, like the batched kernel); gamma' is the k-th smallest
+    distance seen, widened by three times the index's rounding bound
+    (``ExactRBC._slack``, a parameter of the rules like the radii).  Then
+    the psi rule and the owner bound ``rho(q, r) <= 2 gamma' + rho(q, r1)``
+    per representative other than r1, the Claim-2 prefix trim, and the
+    prefixes scanned; a seed a prefix holds is ranked at its scanned
+    distance.  Ties rank by packed-storage position.  Returns
+    ``(dist, idx, counts)`` with ``counts`` matching
+    ``SearchStats.rule_counts``.
     """
     metric = index.metric
     Qb = Q if isinstance(Q, (list, np.ndarray)) and np.ndim(Q) != 1 else metric._as_batch(Q)
@@ -32,11 +39,19 @@ def reference_query(index, Q, k, *, use_psi_rule=True, use_3gamma_rule=True,
     D_R = metric.pairwise(Qb, index.rep_data) if isinstance(Qb, np.ndarray) else \
         np.stack([metric.pairwise(metric.take(Qb, [i]), index.rep_data)[0]
                   for i in range(m)])
-    if nr >= k:
-        gamma = np.partition(D_R, k - 1, axis=1)[:, k - 1]
-    else:
-        gamma = np.full(m, np.inf)
-    gamma_eff = gamma / (1.0 + approx_eps)
+    slack = index._slack(Qb, D_R)
+
+    def scan(i, ids):
+        if ids.size == 0:
+            return np.empty(0)
+        return metric.pairwise(metric.take(Qb, [i]), metric.take(index.X, ids))[0]
+
+    # ties rank by packed-storage position, the batched kernel's order
+    packed = index.packed
+    slot = np.zeros(index.n, dtype=np.int64)
+    for j in range(packed.n_lists):
+        lo, hi = packed.span(j)
+        slot[packed.ids[lo:hi]] = np.arange(lo, hi)
 
     counts = dict(n_queries=m, pruned_by_psi=0, pruned_by_3gamma=0,
                   trimmed_by_4gamma=0, candidates_examined=0)
@@ -44,13 +59,28 @@ def reference_query(index, Q, k, *, use_psi_rule=True, use_3gamma_rule=True,
     idxs = np.full((m, k), EMPTY_IDX, dtype=np.int64)
     for i in range(m):
         d_row = D_R[i]
+        # ---- round 1: list r1 whole, then the seeds outside it
+        r1 = int(np.argmin(d_row))
+        kk = min(k, nr)
+        seed_pos = np.argpartition(d_row, kk - 1)[:kk]
+        first = index.lists[r1]
+        extra = seed_pos[~np.isin(index.rep_ids[seed_pos], first)]
+        pool_i = np.concatenate([first, index.rep_ids[extra]])
+        pool_d = np.concatenate([scan(i, first), d_row[extra]])
+        counts["candidates_examined"] += int(pool_i.size)
+        kth = np.sort(pool_d)[k - 1] if pool_d.size >= k else np.inf
+        gamma = kth + 3.0 * slack[i]
+        ge = gamma / (1.0 + approx_eps)
+
+        # ---- the rules over every other representative
         keep = np.ones(nr, dtype=bool)
+        keep[r1] = False
         if use_psi_rule:
-            kept = d_row - index.radii < gamma_eff[i]
-            counts["pruned_by_psi"] += int(nr - kept.sum())
+            kept = d_row - index.radii < ge
+            counts["pruned_by_psi"] += int(np.count_nonzero(keep & ~kept))
             keep &= kept
         if use_3gamma_rule:
-            kept = d_row <= 3.0 * gamma[i]
+            kept = d_row <= 2.0 * gamma + d_row[r1]
             counts["pruned_by_3gamma"] += int(np.count_nonzero(keep & ~kept))
             keep &= kept
         parts = []
@@ -60,28 +90,21 @@ def reference_query(index, Q, k, *, use_psi_rule=True, use_3gamma_rule=True,
                 continue
             if use_trim:
                 cut = np.searchsorted(
-                    index.list_dists[j], d_row[j] + gamma_eff[i], side="right"
+                    index.list_dists[j], d_row[j] + ge, side="right"
                 )
                 counts["trimmed_by_4gamma"] += int(lst.size - cut)
                 parts.append(lst[:cut])
             else:
                 parts.append(lst)
-        kk = min(k, nr)
-        seed_pos = np.argpartition(d_row, kk - 1)[:kk]
         scanned = (np.concatenate(parts) if parts
                    else np.empty(0, dtype=np.int64))
-        extra = seed_pos[~np.isin(index.rep_ids[seed_pos], scanned)]
-        counts["candidates_examined"] += int(scanned.size + extra.size)
+        # a seed stage 2 scans leaves the pool: one candidate, one distance
+        rescanned = np.isin(pool_i, scanned)
+        counts["candidates_examined"] += int(scanned.size - rescanned.sum())
 
-        if scanned.size:
-            cd = metric.pairwise(
-                metric.take(Qb, [i]), metric.take(index.X, scanned)
-            )[0]
-        else:
-            cd = np.empty(0)
-        all_d = np.concatenate([cd, d_row[extra]])
-        all_i = np.concatenate([scanned, index.rep_ids[extra]])
-        order = np.argsort(all_d, kind="stable")[:k]
+        all_d = np.concatenate([pool_d[~rescanned], scan(i, scanned)])
+        all_i = np.concatenate([pool_i[~rescanned], scanned])
+        order = np.lexsort((slot[all_i], all_d))[:k]
         dists[i, : order.size] = all_d[order]
         idxs[i, : order.size] = all_i[order]
     return dists, idxs, counts
