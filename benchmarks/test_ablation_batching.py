@@ -17,6 +17,7 @@ from repro.baselines import BruteForceIndex
 from repro.core import ExactRBC
 from repro.data import load
 from repro.eval import format_table, traced_query
+from repro.runtime import ExecContext
 from repro.simulator import AMD_48CORE
 
 BATCHES = (1, 8, 64, 512)
@@ -26,16 +27,16 @@ TOTAL_QUERIES = 512
 def run():
     X, Q = load("tiny8", scale=0.1, n_queries=TOTAL_QUERIES, max_n=20_000)
     rows = []
-    for label, index, kwargs in [
-        ("brute force", BruteForceIndex().build(X), dict(tile_cols=2048)),
-        ("exact RBC", ExactRBC(seed=0).build(X, n_reps=500), {}),
+    for label, index, grain in [
+        ("brute force", BruteForceIndex().build(X), ExecContext(tile_cols=2048)),
+        ("exact RBC", ExactRBC(seed=0).build(X, n_reps=500), None),
     ]:
         for b in BATCHES:
             total = 0.0
             batches = 0
             for lo in range(0, TOTAL_QUERIES, b):
                 run_ = traced_query(
-                    index, Q[lo : lo + b], [AMD_48CORE], k=1, **kwargs
+                    index, Q[lo : lo + b], [AMD_48CORE], k=1, ctx=grain
                 )
                 total += run_.sim_time(AMD_48CORE)
                 batches += 1

@@ -18,6 +18,7 @@ from repro.baselines import BallTree, CoverTree, KDTree
 from repro.core import ExactRBC, OneShotRBC
 from repro.data import load
 from repro.eval import format_table
+from repro.runtime import ExecContext
 from repro.simulator import AMD_48CORE, TraceRecorder, simulate, with_cores
 
 N = 8_000
@@ -37,7 +38,7 @@ def run_builds():
         index = factory()
         rec = TraceRecorder()
         t0 = time.perf_counter()
-        index.build(X, recorder=rec, **build_kwargs)
+        index.build(X, ctx=ExecContext(recorder=rec), **build_kwargs)
         wall = time.perf_counter() - t0
         evals = index.metric.counter.n_evals
         t48 = simulate(rec.trace, AMD_48CORE).time_s

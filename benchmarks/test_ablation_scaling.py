@@ -19,22 +19,24 @@ from repro.baselines import BruteForceIndex, CoverTree
 from repro.core import ExactRBC, OneShotRBC
 from repro.data import load
 from repro.eval import format_table, traced_query
+from repro.runtime import ExecContext
 from repro.simulator import AMD_48CORE, TESLA_C2050, strong_scaling
 from repro.simulator.trace import TraceRecorder
 
 CORES = [1, 2, 4, 8, 16, 32, 48, 64]
+#: brute-force blocking: one pass over the database per query block
+BF_GRAIN = ExecContext(tile_cols=2048, row_chunk=512)
 
 
 def scaling_rows():
     X, Q = load("bio", scale=0.1, n_queries=500, max_n=20_000)
     rows = []
-    for label, index, kwargs in [
-        ("brute force", BruteForceIndex().build(X),
-         dict(tile_cols=2048, row_chunk=512)),
-        ("exact RBC", ExactRBC(seed=0).build(X, n_reps=500), {}),
+    for label, index, grain in [
+        ("brute force", BruteForceIndex().build(X), BF_GRAIN),
+        ("exact RBC", ExactRBC(seed=0).build(X, n_reps=500), ExecContext()),
     ]:
         rec = TraceRecorder()
-        index.query(Q, 1, recorder=rec, **kwargs)
+        index.query(Q, 1, ctx=grain.with_recorder(rec))
         base = None
         for cores, res in strong_scaling(rec.trace, AMD_48CORE, CORES):
             if base is None:
@@ -54,9 +56,7 @@ def divergence_rows():
     )
     run_rbc = traced_query(rbc, Q, [TESLA_C2050], k=1)
     brute = BruteForceIndex().build(X)
-    run_bf = traced_query(
-        brute, Q, [TESLA_C2050], k=1, tile_cols=2048, row_chunk=512
-    )
+    run_bf = traced_query(brute, Q, [TESLA_C2050], k=1, ctx=BF_GRAIN)
     for label, run in [
         ("cover tree", run_ct), ("brute force", run_bf), ("one-shot RBC", run_rbc)
     ]:

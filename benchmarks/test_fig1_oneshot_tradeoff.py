@@ -20,6 +20,7 @@ from repro.baselines import BruteForceIndex
 from repro.core import OneShotRBC
 from repro.data import load
 from repro.eval import ascii_plot, format_table, mean_rank, traced_query
+from repro.runtime import ExecContext
 from repro.simulator import AMD_48CORE
 
 WORKLOADS = [
@@ -37,14 +38,14 @@ N_QUERIES = 500
 #: sweep of n_r = s, as fractions of sqrt(n)
 SWEEP = (0.5, 1.0, 2.0, 4.0, 8.0)
 MACHINES = [AMD_48CORE]
-BF_GRAIN = dict(tile_cols=2048, row_chunk=512)
+BF_GRAIN = ExecContext(tile_cols=2048, row_chunk=512)
 
 
 def run_dataset(name: str, max_n: int):
     X, Q = load(name, scale=0.1, n_queries=N_QUERIES, max_n=max_n)
     n = X.shape[0]
     brute = BruteForceIndex().build(X)
-    brute_run = traced_query(brute, Q, MACHINES, k=1, **BF_GRAIN)
+    brute_run = traced_query(brute, Q, MACHINES, k=1, ctx=BF_GRAIN)
 
     series = []
     for frac in SWEEP:

@@ -19,6 +19,7 @@ from repro.baselines import BruteForceIndex
 from repro.core import ExactRBC
 from repro.data import load
 from repro.eval import ascii_plot, format_table, traced_query
+from repro.runtime import ExecContext
 from repro.simulator import AMD_48CORE
 
 WORKLOADS = [
@@ -33,14 +34,14 @@ WORKLOADS = [
 N_QUERIES = 500
 SWEEP = (1.0, 2.0, 4.0, 6.0, 8.0, 12.0)
 MACHINES = [AMD_48CORE]
-BF_GRAIN = dict(tile_cols=2048, row_chunk=512)
+BF_GRAIN = ExecContext(tile_cols=2048, row_chunk=512)
 
 
 def run_dataset(name: str, max_n: int):
     X, Q = load(name, scale=0.1, n_queries=N_QUERIES, max_n=max_n)
     n = X.shape[0]
     brute = BruteForceIndex().build(X)
-    brute_run = traced_query(brute, Q, MACHINES, k=1, **BF_GRAIN)
+    brute_run = traced_query(brute, Q, MACHINES, k=1, ctx=BF_GRAIN)
     series = []
     for frac in SWEEP:
         nr = max(1, int(frac * n**0.5))

@@ -21,6 +21,7 @@ from repro.baselines import BruteForceIndex
 from repro.core import OneShotRBC
 from repro.data import load
 from repro.eval import format_table, mean_rank, traced_query
+from repro.runtime import ExecContext
 from repro.simulator import TESLA_C2050
 
 #: Table 2 uses these five datasets
@@ -34,14 +35,14 @@ WORKLOADS = [
 
 N_QUERIES = 500
 MACHINES = [TESLA_C2050]
-BF_GRAIN = dict(tile_cols=2048, row_chunk=512)
+BF_GRAIN = ExecContext(tile_cols=2048, row_chunk=512)
 
 
 def run_dataset(name: str, max_n: int, paper_x: float):
     X, Q = load(name, scale=0.1, n_queries=N_QUERIES, max_n=max_n)
     n = X.shape[0]
     brute = BruteForceIndex().build(X)
-    brute_run = traced_query(brute, Q, MACHINES, k=1, **BF_GRAIN)
+    brute_run = traced_query(brute, Q, MACHINES, k=1, ctx=BF_GRAIN)
 
     # smallest parameter achieving the paper's error regime (rank < 1)
     for frac in (1.0, 2.0, 3.0, 4.0, 8.0):

@@ -12,10 +12,9 @@ reproduces the paper's three hardware stories in miniature:
   * GPU (Table 2 / §3): divergent tree search loses to dense search.
 """
 
-import numpy as np
-
 from repro import BruteForceIndex, CoverTree, ExactRBC, OneShotRBC
 from repro.data import manifold
+from repro.runtime import ExecContext
 from repro.simulator import (
     AMD_48CORE,
     DESKTOP_QUAD,
@@ -30,7 +29,7 @@ X, Q = pool[:20_000], pool[20_000:]
 
 # --------------------------------------------- record one trace per index
 traces = {}
-for name, index, kwargs in [
+for name, index, grain in [
     ("brute force", BruteForceIndex().build(X), dict(tile_cols=2048)),
     ("exact RBC", ExactRBC(seed=0).build(X, n_reps=500), {}),
     ("one-shot RBC", OneShotRBC(seed=0, rep_scheme="exact").build(
@@ -38,7 +37,7 @@ for name, index, kwargs in [
     ("cover tree", CoverTree().build(X[:5_000]), {}),
 ]:
     rec = TraceRecorder()
-    index.query(Q, 1, recorder=rec, **kwargs)
+    index.query(Q, 1, ctx=ExecContext(recorder=rec, **grain))
     traces[name] = rec.trace
 
 # --------------------------------------------- replay on each machine

@@ -17,7 +17,6 @@ from ..metrics import get_metric
 from ..metrics.base import Metric
 from ..parallel.bruteforce import bf_knn, bf_range
 from ..runtime.context import ExecContext, resolve_ctx
-from ..simulator.trace import NULL_RECORDER, TraceRecorder
 
 __all__ = ["BruteForceIndex"]
 
@@ -44,13 +43,7 @@ class BruteForceIndex(Index):
         self.X = None
         self.n = 0
 
-    def build(
-        self,
-        X,
-        *,
-        recorder: TraceRecorder = NULL_RECORDER,
-        ctx: ExecContext | None = None,
-    ):
+    def build(self, X, *, ctx: ExecContext | None = None):
         """Store the database (no preprocessing)."""
         self.X = X
         self.n = self.metric.length(X)
@@ -61,20 +54,17 @@ class BruteForceIndex(Index):
         Q,
         k: int = 1,
         *,
-        recorder: TraceRecorder = NULL_RECORDER,
-        executor=None,
         ctx: ExecContext | None = None,
         **bf_kwargs,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Extra ``bf_kwargs`` (``tile_cols``, ``row_chunk``, ``quantizer``)
-        reach :func:`~repro.parallel.bruteforce.bf_knn`; benchmarks use
-        them to set the parallel grain the machine models schedule.  An
-        explicit ``ctx`` (or ``executor=``) overrides the index's
-        configured executor for this call."""
+        """Extra ``bf_kwargs`` (``quantizer``) reach
+        :func:`~repro.parallel.bruteforce.bf_knn`.  Set ``ctx`` fields
+        override the index's configured executor for this call; benchmarks
+        set the parallel grain the machine models schedule through its
+        ``tile_cols``/``row_chunk``."""
         if self.X is None:
             raise RuntimeError("call build(X) first")
-        call = resolve_ctx(ctx, recorder=recorder, executor=executor)
-        call = call.overriding(ExecContext(executor=self.executor))
+        call = resolve_ctx(ctx).overriding(ExecContext(executor=self.executor))
         return bf_knn(Q, self.X, self.metric, k=k, ctx=call, **bf_kwargs)
 
     def range_query(
@@ -82,14 +72,11 @@ class BruteForceIndex(Index):
         Q,
         eps: float,
         *,
-        recorder: TraceRecorder = NULL_RECORDER,
         ctx: ExecContext | None = None,
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         if self.X is None:
             raise RuntimeError("call build(X) first")
-        return bf_range(
-            Q, self.X, eps, self.metric, ctx=resolve_ctx(ctx, recorder=recorder)
-        )
+        return bf_range(Q, self.X, eps, self.metric, ctx=ctx)
 
     def memory_footprint(self) -> int:
         """Brute force stores nothing beyond the caller's database; the

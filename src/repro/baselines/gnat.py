@@ -27,7 +27,7 @@ from ..index.protocol import Capabilities, Index
 from ..metrics import get_metric
 from ..metrics.base import Metric
 from ..runtime.context import ExecContext, resolve_ctx
-from ..simulator.trace import NULL_RECORDER, Op, TraceRecorder
+from ..simulator.trace import Op, TraceRecorder
 
 __all__ = ["GNAT"]
 
@@ -78,10 +78,9 @@ class GNAT(Index):
         self,
         X,
         *,
-        recorder: TraceRecorder = NULL_RECORDER,
         ctx: ExecContext | None = None,
     ) -> "GNAT":
-        recorder = resolve_ctx(ctx, recorder=recorder).recorder
+        recorder = resolve_ctx(ctx).recorder
         self.X = X
         n = self.metric.length(X)
         if n == 0:
@@ -170,10 +169,9 @@ class GNAT(Index):
         Q,
         k: int = 1,
         *,
-        recorder: TraceRecorder = NULL_RECORDER,
         ctx: ExecContext | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        recorder = resolve_ctx(ctx, recorder=recorder).recorder
+        recorder = resolve_ctx(ctx).recorder
         if self.root is None:
             raise RuntimeError("call build(X) first")
         if k < 1:

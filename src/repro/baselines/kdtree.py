@@ -21,7 +21,7 @@ from ..index.protocol import Capabilities, Index
 from ..metrics import Chebyshev, Euclidean, Manhattan, get_metric
 from ..metrics.base import Metric
 from ..runtime.context import ExecContext, resolve_ctx
-from ..simulator.trace import NULL_RECORDER, Op, TraceRecorder
+from ..simulator.trace import Op, TraceRecorder
 
 __all__ = ["KDTree"]
 
@@ -76,10 +76,9 @@ class KDTree(Index):
         self,
         X,
         *,
-        recorder: TraceRecorder = NULL_RECORDER,
         ctx: ExecContext | None = None,
     ) -> "KDTree":
-        recorder = resolve_ctx(ctx, recorder=recorder).recorder
+        recorder = resolve_ctx(ctx).recorder
         X = np.ascontiguousarray(np.atleast_2d(np.asarray(X, dtype=np.float64)))
         if X.shape[0] == 0:
             raise ValueError("database is empty")
@@ -114,14 +113,13 @@ class KDTree(Index):
         Q,
         k: int = 1,
         *,
-        recorder: TraceRecorder = NULL_RECORDER,
         ctx: ExecContext | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         if self.root is None:
             raise RuntimeError("call build(X) first")
         if k < 1:
             raise ValueError("k must be >= 1")
-        recorder = resolve_ctx(ctx, recorder=recorder).recorder
+        recorder = resolve_ctx(ctx).recorder
         Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
         m = Q.shape[0]
         out_d = np.full((m, k), np.inf)

@@ -85,7 +85,7 @@ from ..parallel.bruteforce import _is_batch, _record_dist_tile, _record_select
 from ..parallel.pool import SerialExecutor
 from ..parallel.reduce import EMPTY_IDX
 from ..runtime.context import ExecContext
-from ..simulator.trace import NULL_RECORDER, Op, TraceRecorder
+from ..simulator.trace import NULL_RECORDER, Op
 from .params import standard_n_reps
 from .rbc import RBCBase, sample_representatives
 from .stats import SearchStats
@@ -161,7 +161,6 @@ class ExactRBC(RBCBase):
         n_reps: int | None = None,
         *,
         c: float = 1.0,
-        recorder: TraceRecorder = NULL_RECORDER,
         ctx: ExecContext | None = None,
     ) -> "ExactRBC":
         """Build: sample ``R``, then one ``BF(X, R)`` assigns every point to
@@ -169,7 +168,7 @@ class ExactRBC(RBCBase):
 
         ``n_reps`` defaults to the standard setting ``c^{3/2} sqrt(n)``.
         """
-        ctx = self._call_ctx(ctx, recorder=recorder)
+        ctx = self._call_ctx(ctx)
         self._require_true_metric("the exact search's pruning")
         n = self.metric.length(X)
         if n == 0:
@@ -209,8 +208,6 @@ class ExactRBC(RBCBase):
         use_3gamma_rule: bool = True,
         use_trim: bool = True,
         approx_eps: float = 0.0,
-        recorder: TraceRecorder = NULL_RECORDER,
-        executor=None,
         ctx: ExecContext | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Exact k-NN (or ``(1 + approx_eps)``-approximate if ``> 0``).
@@ -219,9 +216,7 @@ class ExactRBC(RBCBase):
         rules disabled the second stage degenerates to full brute force
         over every ownership list (still correct, just slow).
 
-        ``ctx`` (or the legacy ``recorder``/``executor`` kwargs it
-        subsumes) overrides the index configuration for this call; set
-        ``ctx`` fields win, then kwargs, then the index defaults.
+        Set ``ctx`` fields override the index configuration for this call.
 
         Returns ``(dist, idx)`` of shape ``(m, k)``, rows sorted ascending.
         """
@@ -230,7 +225,7 @@ class ExactRBC(RBCBase):
             raise ValueError("k must be >= 1")
         if approx_eps < 0:
             raise ValueError("approx_eps must be >= 0")
-        ctx = self._call_ctx(ctx, recorder=recorder, executor=executor)
+        ctx = self._call_ctx(ctx)
         recorder = ctx.recorder
         stats = SearchStats()
         nr = self.n_reps
@@ -273,7 +268,7 @@ class ExactRBC(RBCBase):
                 Qc = self.metric.take(Qb, np.arange(lo, hi))
             with recorder.phase("exact:stage2"):
                 first = self._first(Qc, Dc, k)
-                pool = self._scan(Qc, first, top=k, recorder=recorder)
+                pool = self._scan(Qc, first, recorder=recorder)
                 pruned = self._prune(Qc, Dc, first, [pool], **rules)
                 if recorder.enabled:
                     recorder.record(
@@ -476,7 +471,7 @@ class ExactRBC(RBCBase):
         P = self.metric.take(self.X, rows)
         D = self.metric.pairwise(P, self.rep_data)
         first = self._first(P, D, 2)
-        pruned = self._prune(P, D, first, [self._scan(P, first, top=2)])
+        pruned = self._prune(P, D, first, [self._scan(P, first)])
         kept = pruned.stats.candidates_examined
         return min(1.0, kept / max(1, probe_m * live.size))
 
@@ -718,7 +713,6 @@ class ExactRBC(RBCBase):
         pruned,
         reps=None,
         *,
-        top=None,
         recorder=NULL_RECORDER,
     ):
         """Grouped scan of the list prefixes ``pruned`` keeps: round 1's
@@ -753,10 +747,11 @@ class ExactRBC(RBCBase):
         ``k`` lowers its threshold to its k-th distance so later blocks
         admit only candidates that can still enter.  A dropped candidate
         has ``k`` others strictly nearer, so answers are those of ranking
-        the whole pool once by (distance, slot).  Returns the survivor
-        pool ``(rows, dists, slots)``, a slot being a candidate's position
-        in packed storage; ``top`` keeps only each row's ``top`` nearest
-        (a node's top-k reply).  Stores no per-call state on the index.
+        the whole pool once by (distance, slot).  Returns each row's
+        ``k`` nearest survivors and any tied with the k-th (a node's top-k
+        reply) as ``(rows, dists, slots)``, a slot being a candidate's
+        position in packed storage.  Stores no per-call state on the
+        index.
         """
         metric = self.metric
         engine = isinstance(Qop, Prepared)
@@ -846,9 +841,7 @@ class ExactRBC(RBCBase):
                     tag="exact:stage2-stream",
                 )
             )
-        if top is not None:
-            return _top(acc, c, top)[:3]
-        return tuple(np.concatenate(part) for part in zip(*acc))
+        return _top(acc, c, k)[:3]
 
     def _squared(self, Qop) -> bool:
         """Whether scans of ``Qop`` rank in the metric's squared domain."""
@@ -900,35 +893,38 @@ class ExactRBC(RBCBase):
     def delete(self, gid: int) -> None:
         """Delete a point by global id.
 
-        Non-representative points are removed from their owner's list.
-        Deleting a representative redistributes its surviving list members
-        to their nearest remaining representative (the same assignment
-        rule as the build).  Radii are kept as-is: they remain valid
-        *upper* bounds, so exactness is preserved; pruning tightness can
-        be restored by rebuilding after heavy churn.
+        The point is removed from whichever list holds it: its owner's, or
+        for a representative, the list an argmin tie put it in.  Deleting
+        a representative redistributes its remaining list members to their
+        nearest remaining representative (the same assignment rule as the
+        build).  Radii are kept as-is: they remain valid *upper* bounds,
+        so exactness is preserved; pruning tightness can be restored by
+        rebuilding after heavy churn.  A delete that raises leaves the
+        index unchanged.
         """
         self._require_built()
         self._require_vector_db("delete")
         gid = int(gid)
-        self._tombstone(gid)
-
-        packed = self._packed
         rep_pos = np.flatnonzero(self.rep_ids == gid)
-        if rep_pos.size == 0:
-            for j in range(packed.n_lists):
-                hit = np.flatnonzero(packed.ids_of(j) == gid)
-                if hit.size:
-                    packed.delete_at(j, int(hit[0]))
-                    return
-            raise AssertionError(f"point {gid} missing from every list")
-
-        j = int(rep_pos[0])
-        if self.rep_ids.size == 1:
+        if rep_pos.size and self.rep_ids.size == 1:
             raise ValueError(
                 "cannot delete the only representative; rebuild the index"
             )
-        lst = packed.ids_of(j)
-        orphans = lst[lst != gid].copy()
+        self._tombstone(gid)
+
+        packed = self._packed
+        for j in range(packed.n_lists):
+            hit = np.flatnonzero(packed.ids_of(j) == gid)
+            if hit.size:
+                packed.delete_at(j, int(hit[0]))
+                break
+        else:
+            raise AssertionError(f"point {gid} missing from every list")
+        if rep_pos.size == 0:
+            return
+
+        j = int(rep_pos[0])
+        orphans = packed.ids_of(j).copy()
         # drop representative j
         self.rep_ids = np.delete(self.rep_ids, j)
         self.rep_data = self.metric.take(self.X, self.rep_ids)
@@ -954,7 +950,6 @@ class ExactRBC(RBCBase):
         Q,
         eps: float,
         *,
-        recorder: TraceRecorder = NULL_RECORDER,
         ctx: ExecContext | None = None,
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Exact ε-range search: every point within ``eps`` of each query.
@@ -972,7 +967,7 @@ class ExactRBC(RBCBase):
         self._require_built()
         if eps < 0:
             raise ValueError("eps must be non-negative")
-        ctx = self._call_ctx(ctx, recorder=recorder)
+        ctx = self._call_ctx(ctx)
         recorder = ctx.recorder
         Qb = Q if _is_batch(self.metric, Q) else self.metric._as_batch(Q)
         m = self.metric.length(Qb)

@@ -25,7 +25,6 @@ from ..metrics.base import Metric
 from ..parallel.bruteforce import _is_batch, _record_dist_tile
 from ..parallel.reduce import EMPTY_IDX, dedupe_rows, merge_topk, topk_of_block
 from ..runtime.context import ExecContext, resolve_ctx
-from ..simulator.trace import NULL_RECORDER, TraceRecorder
 from .oneshot import OneShotRBC
 from .stats import SearchStats
 
@@ -66,7 +65,6 @@ class HierarchicalOneShotRBC:
         *,
         inner_n_reps: int | None = None,
         inner_s: int | None = None,
-        recorder: TraceRecorder = NULL_RECORDER,
         ctx: ExecContext | None = None,
     ) -> "HierarchicalOneShotRBC":
         """Build both levels (two brute-force calls, one per level).
@@ -74,7 +72,6 @@ class HierarchicalOneShotRBC:
         ``ctx`` rides through to both level builds; each inner index still
         applies its own configuration for whatever ``ctx`` leaves unset.
         """
-        ctx = resolve_ctx(ctx, recorder=recorder)
         n = self.metric.length(X)
         if n == 0:
             raise ValueError("database is empty")
@@ -117,7 +114,6 @@ class HierarchicalOneShotRBC:
         k: int = 1,
         *,
         n_probes: int = 2,
-        recorder: TraceRecorder = NULL_RECORDER,
         ctx: ExecContext | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Three brute-force hops: inner reps → outer reps → points.
@@ -130,7 +126,7 @@ class HierarchicalOneShotRBC:
             raise RuntimeError("call build(X) before querying")
         if k < 1 or n_probes < 1:
             raise ValueError("k and n_probes must be >= 1")
-        ctx = resolve_ctx(ctx, recorder=recorder)
+        ctx = resolve_ctx(ctx)
         recorder = ctx.recorder
         metric = self.metric
         stats = SearchStats()

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..metrics.base import Metric
 from ..parallel.bruteforce import bf_knn
-from ..runtime.context import ExecContext, resolve_ctx
+from ..runtime.context import ExecContext
 from .exact import ExactRBC
 
 __all__ = ["knn_graph", "mutual_knn_graph", "knn_graph_networkx"]
@@ -27,7 +27,6 @@ def knn_graph(
     *,
     method: str = "rbc",
     seed: int = 0,
-    executor=None,
     ctx: ExecContext | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """k nearest neighbors of every database point (self excluded).
@@ -35,22 +34,19 @@ def knn_graph(
     ``method="rbc"`` builds an exact RBC and batch-queries it with the
     database itself; ``method="brute"`` is the O(n²) reference.  Both are
     exact; they return identical distances.  ``ctx`` carries the run's
-    execution state (executor, recorder, chunking) into both build and query;
-    the legacy ``executor=`` kwarg remains as the usual adapter.
+    execution state (executor, recorder, chunking) into both build and query.
 
     Returns ``(dist, idx)`` of shape ``(n, k)``, rows ascending.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    call = resolve_ctx(ctx, executor=executor)
     if method == "brute":
-        d, i = bf_knn(X, X, metric, k=k + 1, ctx=call)
+        d, i = bf_knn(X, X, metric, k=k + 1, ctx=ctx)
     elif method == "rbc":
-        index = ExactRBC(metric=metric, seed=seed, executor=call.executor)
-        index.build(X, ctx=call)
+        index = ExactRBC(metric=metric, seed=seed).build(X, ctx=ctx)
         if index.n <= k:
             raise ValueError(f"need n > k, got n={index.n}, k={k}")
-        d, i = index.query(X, k=k + 1, ctx=call)
+        d, i = index.query(X, k=k + 1, ctx=ctx)
     else:
         raise ValueError(f"unknown method {method!r}")
     return _drop_self(d, i, k)

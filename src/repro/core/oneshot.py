@@ -28,7 +28,6 @@ from ..parallel.reduce import (
     topk_of_block,
 )
 from ..runtime.context import ExecContext
-from ..simulator.trace import NULL_RECORDER, TraceRecorder
 from .params import oneshot_params
 from .rbc import RBCBase, sample_representatives
 from .stats import SearchStats
@@ -60,7 +59,6 @@ class OneShotRBC(RBCBase):
         *,
         delta: float = 0.05,
         c: float = 1.0,
-        recorder: TraceRecorder = NULL_RECORDER,
         ctx: ExecContext | None = None,
     ) -> "OneShotRBC":
         """Build the cover: sample ``R``, then one ``BF(R, X)`` call.
@@ -69,7 +67,7 @@ class OneShotRBC(RBCBase):
         setting ``n_r = s = c sqrt(n ln 1/delta)`` for the given expansion
         rate ``c`` and failure probability ``delta``.
         """
-        ctx = self._call_ctx(ctx, recorder=recorder)
+        ctx = self._call_ctx(ctx)
         n = self.metric.length(X)
         if n == 0:
             raise ValueError("database is empty")
@@ -129,8 +127,6 @@ class OneShotRBC(RBCBase):
         k: int = 1,
         *,
         n_probes: int = 1,
-        recorder: TraceRecorder = NULL_RECORDER,
-        executor=None,
         ctx: ExecContext | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """One-shot k-NN: ``BF(Q, R)`` then ``BF(q, X[L_r])`` per query.
@@ -140,9 +136,7 @@ class OneShotRBC(RBCBase):
         improving recall at proportional cost (the natural multi-probe
         analogue the paper's distributed future-work section suggests).
 
-        ``ctx`` (or the legacy ``recorder``/``executor`` kwargs it
-        subsumes) overrides the index configuration for this call; set
-        ``ctx`` fields win, then kwargs, then the index defaults.
+        Set ``ctx`` fields override the index configuration for this call.
 
         Returns ``(dist, idx)`` of shape ``(m, k)``; rows sorted ascending.
         Slots beyond the number of reachable candidates hold ``inf``/``-1``.
@@ -151,7 +145,7 @@ class OneShotRBC(RBCBase):
         if k < 1 or n_probes < 1:
             raise ValueError("k and n_probes must be >= 1")
         n_probes = min(n_probes, self.n_reps)
-        ctx = self._call_ctx(ctx, recorder=recorder, executor=executor)
+        ctx = self._call_ctx(ctx)
         recorder = ctx.recorder
         stats = SearchStats()
         engine = self._engine_active(ctx)

@@ -30,8 +30,7 @@ from ..metrics.base import Metric, VectorMetric
 from ..metrics.engine import operand_cache
 from ..metrics.quantize import supports_quantization
 from ..parallel.pool import Executor
-from ..runtime.context import ExecContext, resolve_ctx
-from ..simulator.trace import NULL_RECORDER, TraceRecorder
+from ..runtime.context import ExecContext
 from .packed import PackedLists
 from .stats import BuildStats, SearchStats
 
@@ -237,8 +236,7 @@ class RBCBase(Index):
         build/insert/delete.  Subclasses extend this with their own
         derived structures."""
         self._require_built()
-        ctx = self._base_ctx() if ctx is None else ctx.overriding(self._base_ctx())
-        if self._engine_active(ctx):
+        if self._engine_active(self._call_ctx(ctx)):
             self._prepared_reps()
             self._prepared_cands()
         return self
@@ -249,22 +247,11 @@ class RBCBase(Index):
         fallback every per-call context merges over."""
         return ExecContext(executor=self.executor)
 
-    def _call_ctx(
-        self,
-        ctx: ExecContext | None,
-        *,
-        recorder: TraceRecorder | None = None,
-        executor=None,
-    ) -> ExecContext:
-        """Resolve one call's execution context.
-
-        Merge order (first set wins): explicit ``ctx`` fields, then the
-        legacy per-call kwargs, then the index configuration — so
-        ``query(..., recorder=r)`` and ``query(..., ctx=ExecContext(
-        recorder=r))`` are the same run.
-        """
-        call = resolve_ctx(ctx, recorder=recorder, executor=executor)
-        return call.overriding(self._base_ctx())
+    def _call_ctx(self, ctx: ExecContext | None) -> ExecContext:
+        """Resolve one call's execution context: the set ``ctx`` fields
+        over the index configuration (:meth:`_base_ctx`)."""
+        base = self._base_ctx()
+        return base if ctx is None else ctx.overriding(base)
 
     def _engine_active(self, ctx: ExecContext | None = None) -> bool:
         """Whether the prepared-operand kernels run: the index's ``engine``
@@ -386,27 +373,6 @@ class RBCBase(Index):
             ):
                 total += val.nbytes
         return total
-
-    # ------------------------------------------------------------ interface
-    def build(
-        self,
-        X,
-        n_reps: int | None = None,
-        *,
-        recorder: TraceRecorder = NULL_RECORDER,
-        ctx: ExecContext | None = None,
-    ) -> "RBCBase":
-        raise NotImplementedError
-
-    def query(
-        self,
-        Q,
-        k: int = 1,
-        *,
-        recorder: TraceRecorder = NULL_RECORDER,
-        ctx: ExecContext | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = (

@@ -286,9 +286,7 @@ class DistributedRBC:
                     "dist:node", node=w, n_queries=int(rows.size)
                 ) as nspan:
                     replies.append(
-                        index._scan(
-                            Qop, plan, reps, top=k, recorder=rctx.recorder
-                        )
+                        index._scan(Qop, plan, reps, recorder=rctx.recorder)
                     )
                     nspan.set(evals=wave.evals[w])
                 rctx.tracer.adopt(ntracer.export())

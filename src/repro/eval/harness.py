@@ -62,11 +62,7 @@ def traced_query(
     recorder = TimingRecorder(trace_ops=trace_ops, tracer=run_ctx.tracer)
     run_ctx = run_ctx.with_recorder(recorder)
     with run_ctx.observe(index.metric) as obs:
-        if ctx is None:
-            # legacy protocol: any index with a recorder= kwarg works
-            dist, idx = index.query(Q, k, recorder=recorder, **query_kwargs)
-        else:
-            dist, idx = index.query(Q, k, ctx=run_ctx, **query_kwargs)
+        dist, idx = index.query(Q, k, ctx=run_ctx, **query_kwargs)
     return collect_report(
         name or type(index).__name__,
         run_ctx,
@@ -99,10 +95,7 @@ def traced_build(
     recorder = TimingRecorder(trace_ops=trace_ops, tracer=run_ctx.tracer)
     run_ctx = run_ctx.with_recorder(recorder)
     with run_ctx.observe(index.metric) as obs:
-        if ctx is None:
-            index.build(X, recorder=recorder, **build_kwargs)
-        else:
-            index.build(X, ctx=run_ctx, **build_kwargs)
+        index.build(X, ctx=run_ctx, **build_kwargs)
     return collect_report(
         name or f"{type(index).__name__}:build",
         run_ctx,

@@ -31,8 +31,7 @@ from ..metrics import Chebyshev, Euclidean, Manhattan, get_metric
 from ..metrics.base import Metric
 from ..parallel.bruteforce import _record_dist_tile
 from ..parallel.reduce import EMPTY_IDX, merge_group_topk
-from ..runtime.context import ExecContext
-from ..simulator.trace import NULL_RECORDER, TraceRecorder
+from ..runtime.context import ExecContext, resolve_ctx
 from .protocol import Capabilities, Index
 
 __all__ = ["BufferKDTree"]
@@ -88,10 +87,9 @@ class BufferKDTree(Index):
         self,
         X,
         *,
-        recorder: TraceRecorder = NULL_RECORDER,
         ctx: ExecContext | None = None,
     ) -> "BufferKDTree":
-        recorder = self._resolve(ctx, recorder).recorder
+        recorder = resolve_ctx(ctx).recorder
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[0] == 0:
             raise ValueError("X must be a non-empty (n, d) matrix")
@@ -153,13 +151,12 @@ class BufferKDTree(Index):
         Q,
         k: int = 1,
         *,
-        recorder: TraceRecorder = NULL_RECORDER,
         ctx: ExecContext | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         self._require_built()
         if k < 1:
             raise ValueError("k must be >= 1")
-        recorder = self._resolve(ctx, recorder).recorder
+        recorder = resolve_ctx(ctx).recorder
         Qb = np.atleast_2d(np.asarray(Q, dtype=np.float64))
         m = Qb.shape[0]
         best_d = np.full((m, k), np.inf)
@@ -208,7 +205,6 @@ class BufferKDTree(Index):
         Q,
         eps: float,
         *,
-        recorder: TraceRecorder = NULL_RECORDER,
         ctx: ExecContext | None = None,
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Exact ε-range search: leaves whose box bound exceeds ``eps`` are
@@ -216,7 +212,7 @@ class BufferKDTree(Index):
         self._require_built()
         if eps < 0:
             raise ValueError("eps must be non-negative")
-        recorder = self._resolve(ctx, recorder).recorder
+        recorder = resolve_ctx(ctx).recorder
         Qb = np.atleast_2d(np.asarray(Q, dtype=np.float64))
         m = Qb.shape[0]
         hits_d: list[list[np.ndarray]] = [[] for _ in range(m)]

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..runtime.context import ExecContext, resolve_ctx
-from ..simulator.trace import NULL_RECORDER, TraceRecorder
+from ..runtime.context import ExecContext
 
 __all__ = [
     "Capabilities",
@@ -109,24 +108,11 @@ class Index:
 
     metric = None
 
-    def build(
-        self,
-        X,
-        *,
-        recorder: TraceRecorder = NULL_RECORDER,
-        ctx: ExecContext | None = None,
-    ) -> "Index":
+    def build(self, X, *, ctx: ExecContext | None = None) -> "Index":
         """Preprocess the database ``X``; returns ``self``."""
         raise NotImplementedError
 
-    def query(
-        self,
-        Q,
-        k: int = 1,
-        *,
-        recorder: TraceRecorder = NULL_RECORDER,
-        ctx: ExecContext | None = None,
-    ):
+    def query(self, Q, k: int = 1, *, ctx: ExecContext | None = None):
         """Return ``(dist, idx)`` arrays of shape ``(len(Q), k)``.
 
         Rows are ascending by distance; short rows are padded with
@@ -134,14 +120,7 @@ class Index:
         """
         raise NotImplementedError
 
-    def range_query(
-        self,
-        Q,
-        eps: float,
-        *,
-        recorder: TraceRecorder = NULL_RECORDER,
-        ctx: ExecContext | None = None,
-    ):
+    def range_query(self, Q, eps: float, *, ctx: ExecContext | None = None):
         """Return, per query, a ``(dist, idx)`` pair of all points within
         ``eps`` — or raise :class:`UnsupportedCapability` when the backend
         does not declare ``range_queries``."""
@@ -178,9 +157,6 @@ class Index:
     def supports(self, flag: str) -> bool:
         """``True`` iff :meth:`capabilities` declares ``flag``."""
         return bool(getattr(self.capabilities(), flag))
-
-    def _resolve(self, ctx, recorder):
-        return resolve_ctx(ctx, recorder=recorder)
 
 
 def capabilities_for(index) -> Capabilities:

@@ -30,8 +30,7 @@ from ..metrics.base import VectorMetric
 from ..metrics.engine import refine_topk
 from ..parallel.bruteforce import _record_dist_tile
 from ..parallel.reduce import EMPTY_IDX, dedupe_rows
-from ..runtime.context import ExecContext
-from ..simulator.trace import NULL_RECORDER, TraceRecorder
+from ..runtime.context import ExecContext, resolve_ctx
 from .protocol import Capabilities, Index
 
 __all__ = ["RPForest"]
@@ -95,10 +94,9 @@ class RPForest(Index):
         self,
         X,
         *,
-        recorder: TraceRecorder = NULL_RECORDER,
         ctx: ExecContext | None = None,
     ) -> "RPForest":
-        recorder = self._resolve(ctx, recorder).recorder
+        recorder = resolve_ctx(ctx).recorder
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[0] == 0:
             raise ValueError("X must be a non-empty (n, d) matrix")
@@ -166,13 +164,12 @@ class RPForest(Index):
         Q,
         k: int = 1,
         *,
-        recorder: TraceRecorder = NULL_RECORDER,
         ctx: ExecContext | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         self._require_built()
         if k < 1:
             raise ValueError("k must be >= 1")
-        recorder = self._resolve(ctx, recorder).recorder
+        recorder = resolve_ctx(ctx).recorder
         Qb = np.atleast_2d(np.asarray(Q, dtype=np.float64))
         m = Qb.shape[0]
         if m == 0:

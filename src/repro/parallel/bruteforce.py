@@ -14,10 +14,9 @@ like dense linear algebra:
 Row chunks and tiles are mapped over an :class:`~repro.parallel.pool.Executor`,
 and every tile/merge is optionally recorded into a
 :class:`~repro.simulator.trace.TraceRecorder` so the machine models can
-replay the exact work performed.  Both are carried by an
-:class:`~repro.runtime.context.ExecContext` — the legacy ``executor=`` /
-``recorder=`` kwargs are thin adapters over it (explicit ``ctx`` fields
-win, kwargs fill the rest).
+replay the exact work performed.  Both, and the chunk sizes, are carried
+by the one per-call argument ``ctx=``, an
+:class:`~repro.runtime.context.ExecContext`.
 """
 
 from __future__ import annotations
@@ -203,10 +202,6 @@ def bf_knn(
     k: int = 1,
     *,
     ids: np.ndarray | None = None,
-    executor: str | Executor | None = None,
-    tile_cols: int | None = None,
-    row_chunk: int | None = None,
-    recorder: TraceRecorder | None = None,
     x_prepared=None,
     quantizer: str | None = None,
     ctx: ExecContext | None = None,
@@ -225,21 +220,6 @@ def bf_knn(
     ids:
         optional integer id list ``L``; restricts the search to ``X[L]``
         (the paper's ``BF(Q, X[L])``) and reports *global* indices into X.
-    executor:
-        ``None``/``"serial"``, ``"threads"``, ``"processes"`` or an
-        :class:`Executor`; row chunks are mapped over it.  The process
-        backend runs in worker processes (shared-memory operands for vector
-        metrics, pickled chunks otherwise), so it requires a metric the
-        workers can rebuild from the registry by name — a name string or a
-        default-constructed registry instance; customized instances raise
-        ``TypeError``.  Distance evaluations then happen in the workers and
-        are credited to the caller's counter as one bulk update
-        (``n_evals`` stays exact, ``n_calls`` becomes a single call), and
-        tracing is unsupported (``ValueError`` if ``recorder`` is enabled).
-    tile_cols:
-        database columns per tile (auto-sized to ~8 MB of operands if None).
-    recorder:
-        trace recorder for the machine models.
     x_prepared:
         optional :class:`~repro.metrics.engine.Prepared` form of ``X``
         (vector metrics only, incompatible with ``ids``).  Index structures
@@ -254,10 +234,20 @@ def bf_knn(
         (``executor="processes"`` raises — workers own plain float
         copies).  Without it every distance is computed in float64.
     ctx:
-        optional :class:`~repro.runtime.context.ExecContext` carrying the
-        same execution state as the kwargs above in one object.  Set
-        ``ctx`` fields win; the legacy kwargs fill whatever it leaves
-        unset, so both calling styles produce identical runs.
+        optional :class:`~repro.runtime.context.ExecContext`: the
+        executor row chunks are mapped over (``None``/``"serial"``,
+        ``"threads"``, ``"processes"`` or an :class:`Executor`), the
+        trace recorder for the machine models, ``row_chunk`` and
+        ``tile_cols`` (database columns per tile, auto-sized to ~8 MB of
+        operands if unset).  The process backend runs in worker processes
+        (shared-memory operands for vector metrics, pickled chunks
+        otherwise), so it requires a metric the workers can rebuild from
+        the registry by name — a name string or a default-constructed
+        registry instance; customized instances raise ``TypeError``.
+        Distance evaluations then happen in the workers and are credited
+        to the caller's counter as one bulk update (``n_evals`` stays
+        exact, ``n_calls`` becomes a single call), and tracing is
+        unsupported (``ValueError`` if the recorder is enabled).
 
     Returns
     -------
@@ -265,13 +255,7 @@ def bf_knn(
         ``(m, k)`` arrays, rows sorted ascending.  When fewer than ``k``
         points are available, trailing slots hold ``inf`` / ``-1``.
     """
-    ctx = resolve_ctx(
-        ctx,
-        executor=executor,
-        recorder=recorder,
-        row_chunk=row_chunk,
-        tile_cols=tile_cols,
-    )
+    ctx = resolve_ctx(ctx)
     recorder = ctx.recorder
     row_chunk = ctx.row_chunk if ctx.row_chunk is not None else _DEFAULT_ROW_CHUNK
     metric_spec = metric
@@ -483,10 +467,15 @@ def _is_batch(metric: Metric, Q) -> bool:
 
 
 def bf_nn(
-    Q, X, metric: str | Metric = "euclidean", **kwargs
+    Q,
+    X,
+    metric: str | Metric = "euclidean",
+    *,
+    ctx: ExecContext | None = None,
+    **kwargs,
 ) -> tuple[np.ndarray, np.ndarray]:
     """1-NN convenience wrapper: returns ``(m,)`` distance and index arrays."""
-    dist, idx = bf_knn(Q, X, metric, k=1, **kwargs)
+    dist, idx = bf_knn(Q, X, metric, k=1, ctx=ctx, **kwargs)
     return dist[:, 0], idx[:, 0]
 
 
@@ -497,21 +486,16 @@ def bf_range(
     metric: str | Metric = "euclidean",
     *,
     ids: np.ndarray | None = None,
-    tile_cols: int | None = None,
-    recorder: TraceRecorder | None = None,
     ctx: ExecContext | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """ε-range search: all database points within distance ``eps`` of each
     query.  Returns, per query, ``(dist, idx)`` sorted by distance.
 
-    An :class:`~repro.runtime.context.ExecContext` can carry the recorder
-    and tile sizing instead of the individual kwargs (set ``ctx`` fields
-    win, kwargs fill the rest).  The scan itself is a single pass, so the
-    context's executor is not consulted here.
+    ``ctx`` carries the recorder and tile sizing.  The scan itself is a
+    single pass, so the context's executor is not consulted here.
     """
-    ctx = resolve_ctx(ctx, recorder=recorder, tile_cols=tile_cols)
+    ctx = resolve_ctx(ctx)
     recorder = ctx.recorder
-    tile_cols = ctx.tile_cols
     metric = get_metric(metric)
     if eps < 0:
         raise ValueError("eps must be non-negative")
@@ -520,7 +504,7 @@ def bf_range(
         X = metric.take(X, ids)
     n = metric.length(X)
     dim = metric.dim(X)
-    tile_cols = tile_cols or choose_tile_cols(n, dim)
+    tile_cols = ctx.tile_cols or choose_tile_cols(n, dim)
     Qb = Q if _is_batch(metric, Q) else metric._as_batch(Q)
     m = metric.length(Qb)
 
@@ -757,7 +741,7 @@ def bf_knn_processes(
 
     Distance evaluations happen in worker processes and are *not*
     reflected in the parent's metric counters
-    (``bf_knn(..., executor="processes")`` credits them in bulk).  An
+    (a process-backend :func:`bf_knn` credits them in bulk).  An
     already-running :class:`ProcessExecutor` can be passed as ``executor``
     to reuse its pool; it is left open.  String-spec pools come from the
     process-wide :class:`~repro.parallel.pool.ExecutorPool` registry and

@@ -151,7 +151,7 @@ class ExecutorPool:
     """Process-wide registry of live executors keyed by ``(backend, n_workers)``.
 
     ``get_executor`` used to build a fresh pool on every string spec — a
-    full ``ProcessPoolExecutor`` spawn per ``bf_knn(executor="processes")``
+    full ``ProcessPoolExecutor`` spawn per process-backend ``bf_knn``
     call.  The registry keeps one warm pool per key and hands it out
     repeatedly; returned pools ignore ``close()`` (so the existing
     ``with``-scoped call sites need no changes) and are really terminated

@@ -3,10 +3,10 @@
 :class:`ExecContext` bundles the cross-cutting execution state — scoped
 executor, trace recorder, span tracer, chunking policy — that the
 brute-force primitive, both RBC searches, every baseline, and the eval
-harness all share; :class:`RunReport` is the per-run observability record
-a context-driven run emits.  See :mod:`repro.runtime.context` for the
-merge semantics that keep the legacy ``recorder=``/``executor=`` kwargs
-working unchanged.
+harness all share, passed as the one per-call argument ``ctx=``;
+:class:`RunReport` is the per-run observability record a context-driven
+run emits.  See :mod:`repro.runtime.context` for how a call's context
+merges over an index's configuration.
 """
 
 from .autotune import Autotuner, KernelPlan, default_autotuner

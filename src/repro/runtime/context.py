@@ -30,9 +30,9 @@ path is an index's quantized tier (``quantizer=``).
 
 Every field defaults to "unset" (``None`` / :data:`NULL_RECORDER`), so a
 context can be *merged*: explicitly-set fields win, unset fields fall back
-to another context's (or an index's) defaults.  The legacy ``recorder=`` /
-``executor=`` kwargs across the package are thin adapters over exactly
-this merge, so both calling styles produce bit-identical runs.
+to another context's (or an index's) defaults.  ``ctx=`` is the one
+per-call execution argument across the package; an index call resolves it
+in two levels, the call's set fields over the index's own configuration.
 """
 
 from __future__ import annotations
@@ -122,10 +122,8 @@ class Observation:
 class ExecContext:
     """Everything a search run needs to execute and be observed.
 
-    Fields left at their defaults mean "unset — inherit": :func:`resolve_ctx`
-    and the index classes fill them from legacy kwargs and per-index
-    configuration, so ``query(..., ctx=ExecContext(recorder=r))`` and
-    ``query(..., recorder=r)`` are the same run.
+    Fields left at their defaults mean "unset — inherit": an index fills
+    them from its own configuration (:meth:`overriding`).
 
     Parameters
     ----------
@@ -252,31 +250,6 @@ class ExecContext:
             )
 
 
-def resolve_ctx(
-    ctx: ExecContext | None = None,
-    *,
-    executor: str | Executor | None = None,
-    n_workers: int | None = None,
-    recorder: TraceRecorder | None = None,
-    row_chunk: int | None = None,
-    tile_cols: int | None = None,
-    tracer: Tracer | None = None,
-) -> ExecContext:
-    """Merge an optional context with legacy keyword arguments.
-
-    The adapter behind every ``recorder=`` / ``executor=`` kwarg in the
-    package: explicitly-set ``ctx`` fields win, the legacy kwargs fill
-    whatever the context leaves unset.  With ``ctx=None`` this simply
-    packages the kwargs into a context.
-    """
-    base = ExecContext(
-        executor=executor,
-        n_workers=n_workers,
-        recorder=recorder if recorder is not None else NULL_RECORDER,
-        row_chunk=row_chunk,
-        tile_cols=tile_cols,
-        tracer=tracer if tracer is not None else NULL_TRACER,
-    )
-    if ctx is None:
-        return base
-    return ctx.overriding(base)
+def resolve_ctx(ctx: ExecContext | None = None) -> ExecContext:
+    """The call's context: ``ctx`` itself, or an all-unset one for ``None``."""
+    return ExecContext() if ctx is None else ctx

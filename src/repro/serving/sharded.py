@@ -376,7 +376,7 @@ class ShardedStreamingSearcher(StreamingSearcher):
             reps = self.shard_reps[w]
             with tracer.span("serve:shard", shard=w, queries=int(rows.size)):
                 t0 = time.perf_counter()
-                replies.append(index._scan(Qop, plan, reps, top=k))
+                replies.append(index._scan(Qop, plan, reps))
                 walls[w] = time.perf_counter() - t0
             tally = self.shard_tallies[w]
             tally.tasks += 1

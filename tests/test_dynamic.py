@@ -59,31 +59,51 @@ def test_exact_delete_point(small_vectors):
 
 def test_exact_delete_representative(small_vectors):
     X, Q = small_vectors
-    idx = ExactRBC(seed=0, rep_scheme="exact").build(X, n_reps=10)
-    rep = int(idx.rep_ids[3])
-    idx.delete(rep)
-    assert idx.rep_ids.size == 9
-    assert rep not in np.concatenate([lst for lst in idx.lists if lst.size])
-    # orphans were reassigned to their nearest surviving representative
-    D = idx.metric.pairwise(idx.metric.take(idx.X, idx.active_ids), idx.rep_data)
-    nearest = D.min(axis=1)
-    owner_dist = {}
-    for j, lst in enumerate(idx.lists):
-        for gid, dist in zip(lst, idx.list_dists[j]):
-            owner_dist[int(gid)] = dist
-    for row, gid in enumerate(idx.active_ids):
-        assert owner_dist[int(gid)] == pytest.approx(nearest[row], abs=1e-9)
-    # queries stay exact
-    d, _ = idx.query(Q, k=3)
-    td, _ = active_brute(idx, Q, 3)
-    assert results_match_exactly(d, td)
+    # tripled points: an argmin tie puts representative 2's point in
+    # representative 1's list, so its delete must look beyond its own list
+    dup = np.repeat(np.random.default_rng(0).normal(size=(3, 4)), 3, axis=0)
+    plain = ExactRBC(seed=0, rep_scheme="exact").build(X, n_reps=10)
+    cases = (
+        (plain, int(plain.rep_ids[3]), Q),
+        (ExactRBC(metric="manhattan", seed=0).build(dup, n_reps=4), 2, dup),
+    )
+    for idx, rep, Qc in cases:
+        n_reps = idx.rep_ids.size
+        idx.delete(rep)
+        assert idx.rep_ids.size == n_reps - 1
+        assert rep not in np.concatenate([lst for lst in idx.lists if lst.size])
+        # orphans were reassigned to their nearest surviving representative
+        D = idx.metric.pairwise(
+            idx.metric.take(idx.X, idx.active_ids), idx.rep_data
+        )
+        nearest = D.min(axis=1)
+        owner_dist = {}
+        for j, lst in enumerate(idx.lists):
+            for gid, dist in zip(lst, idx.list_dists[j]):
+                owner_dist[int(gid)] = dist
+        for row, gid in enumerate(idx.active_ids):
+            assert owner_dist[int(gid)] == pytest.approx(nearest[row], abs=1e-9)
+        # queries stay exact and never return the deleted point
+        d, i = idx.query(Qc, k=3)
+        assert rep not in i
+        td, _ = active_brute(idx, Qc, 3)
+        assert results_match_exactly(d, td)
 
 
 def test_exact_delete_last_rep_rejected():
-    X = np.arange(10.0)[:, None]
-    idx = ExactRBC(seed=0, rep_scheme="exact").build(X, n_reps=1)
+    # the last representative cannot go, and the refused delete leaves the
+    # index unchanged: the point stays live, listed and answering
+    X = np.random.default_rng(0).normal(size=(4, 2))
+    idx = ExactRBC(seed=0, rep_scheme="exact").build(X, n_reps=4)
+    *gone, last = idx.rep_ids.tolist()
+    for gid in gone:
+        idx.delete(gid)
     with pytest.raises(ValueError, match="only representative"):
-        idx.delete(int(idx.rep_ids[0]))
+        idx.delete(last)
+    assert idx.active_ids.tolist() == [last]
+    assert [lst.tolist() for lst in idx.lists] == [[last]]
+    _, i = idx.query(X, k=3)
+    assert (i[:, 0] == last).all() and (i[:, 1:] == -1).all()
 
 
 def test_delete_twice_rejected(small_vectors):

@@ -18,6 +18,7 @@ from repro.eval import (
     traced_query,
 )
 from repro.parallel import bf_knn
+from repro.runtime import ExecContext
 from repro.simulator import DESKTOP_QUAD, SEQUENTIAL
 
 
@@ -123,7 +124,8 @@ def test_traced_query_parallel_workload_scales(rng):
     Q = rng.normal(size=(512, 16))
     idx = BruteForceIndex().build(X)
     run = traced_query(
-        idx, Q, [SEQUENTIAL, DESKTOP_QUAD], k=1, tile_cols=1024, row_chunk=64
+        idx, Q, [SEQUENTIAL, DESKTOP_QUAD], k=1,
+        ctx=ExecContext(tile_cols=1024, row_chunk=64),
     )
     # note: tile count >> 4, so the quad should be ~4x faster minus sync
     assert run.sim_time(DESKTOP_QUAD) < 0.5 * run.sim_time(SEQUENTIAL)

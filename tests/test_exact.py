@@ -123,9 +123,23 @@ def test_scan_pool_stays_bounded():
     index = ExactRBC(seed=0).build(X)
     Qs, D_R = index._stage1(Q)
     first = index._first(Qs, D_R, k)
-    pruned = index._prune(Qs, D_R, first, [index._scan(Qs, first, top=k)])
-    pool = index._scan(Qs, pruned)
-    assert pool[0].size <= _POOL_BOUND * k * len(Q)
+    pruned = index._prune(Qs, D_R, first, [index._scan(Qs, first)])
+    # the pools the scan hands its selection step: the pool it holds
+    # before each block joins (all parts but the newest) and at the end
+    handed = []
+    top = repro.core.exact._top
+
+    def spy(pools, c, k=None):
+        handed.append([len(part[0]) for part in pools])
+        return top(pools, c, k)
+
+    with mock.patch.object(repro.core.exact, "_top", spy):
+        pool = index._scan(Qs, pruned)
+    bound = _POOL_BOUND * k * len(Q)
+    assert len(handed) > 1  # the scan kept each row's k best as it went
+    assert max(sum(sizes[:-1]) for sizes in handed) <= bound
+    assert sum(handed[-1]) <= bound
+    assert pool[0].size <= bound
     d, _ = index._gather(Qs, pruned, [pool], k)
     true_d, _ = bf_knn(Q, X, k=k)
     np.testing.assert_allclose(d, true_d, rtol=1e-9, atol=1e-7)

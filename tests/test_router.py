@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import ExactRBC, OneShotRBC
+from repro.core import OneShotRBC
 from repro.index import RouteDecision, Router, UnsupportedCapability
 from repro.obs import SLOMonitor
 from repro.parallel import bf_knn

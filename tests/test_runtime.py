@@ -1,24 +1,23 @@
 """The unified execution runtime: ExecContext, executor_scope, merging.
 
-The contract under test is the PR's core promise: ``ctx=ExecContext(...)``
-and the legacy ``recorder=``/``executor=`` kwargs are the *same run* —
-identical answers, identical recorded traces — and executor ownership is
-handled exactly once, by ``executor_scope``.
+The contract under test: ``ctx=ExecContext(...)`` is the one per-call
+execution argument — its set fields override an index's configuration —
+and executor ownership is handled exactly once, by ``executor_scope``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import importlib
+import inspect
+import pkgutil
 from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.baselines import BruteForceIndex, KDTree
-from repro.core import ExactRBC, OneShotRBC
-from repro.parallel import bf_knn
+import repro
+from repro.core import ExactRBC
+from repro.index.registry import available_indexes, index_class
 from repro.parallel.pool import (
     Executor,
     SerialExecutor,
@@ -26,15 +25,7 @@ from repro.parallel.pool import (
     executor_scope,
 )
 from repro.runtime import ExecContext, TimingRecorder, resolve_ctx
-from repro.simulator.trace import NULL_RECORDER, TraceRecorder
-
-
-def _trace_key(recorder: TraceRecorder) -> Counter:
-    """Order-insensitive fingerprint of a recorded trace."""
-    return Counter(
-        (p.name, len(p.ops), round(p.flops, 6), round(p.bytes, 6))
-        for p in recorder.trace.phases
-    )
+from repro.simulator.trace import NULL_RECORDER
 
 
 # ---------------------------------------------------------------- executor scope
@@ -85,27 +76,6 @@ def test_ctx_executor_scope_serial_default():
 
 
 # -------------------------------------------------------------------- merging
-
-
-def test_resolve_ctx_packages_kwargs():
-    r = TraceRecorder()
-    ctx = resolve_ctx(None, recorder=r, executor="threads", row_chunk=64)
-    assert ctx.recorder is r
-    assert ctx.executor == "threads"
-    assert ctx.row_chunk == 64
-
-
-def test_resolve_ctx_ctx_fields_win():
-    r1, r2 = TraceRecorder(), TraceRecorder()
-    ctx = resolve_ctx(
-        ExecContext(recorder=r1, row_chunk=64),
-        recorder=r2,
-        executor="threads",
-        row_chunk=128,
-    )
-    assert ctx.recorder is r1  # ctx wins
-    assert ctx.row_chunk == 64  # ctx wins
-    assert ctx.executor == "threads"  # kwargs fill the gap
 
 
 def test_overriding_unset_fields_inherit():
@@ -176,82 +146,6 @@ def test_timing_recorder_trace_ops_false_keeps_wall_drops_ops():
     assert "work" in rec.phase_wall  # but wall time is
 
 
-# ------------------------------------------------- ctx == legacy kwargs, exactly
-
-
-def _run_legacy(index, Q, k, recorder):
-    return index.query(Q, k=k, recorder=recorder)
-
-
-def _run_ctx(index, Q, k, recorder):
-    return index.query(Q, k=k, ctx=ExecContext(recorder=recorder))
-
-
-@pytest.mark.parametrize(
-    "make_index",
-    [
-        lambda: ExactRBC(seed=0),
-        lambda: OneShotRBC(seed=0),
-        lambda: BruteForceIndex(),
-        lambda: KDTree(),
-    ],
-    ids=["exact", "oneshot", "brute", "kdtree"],
-)
-def test_ctx_equals_legacy_kwargs(make_index, small_vectors):
-    X, Q = small_vectors
-    k = 3
-
-    a = make_index().build(X)
-    ra = TraceRecorder()
-    da, ia = _run_legacy(a, Q, k, ra)
-
-    b = make_index().build(X)
-    rb = TraceRecorder()
-    db, ib = _run_ctx(b, Q, k, rb)
-
-    np.testing.assert_array_equal(da, db)
-    np.testing.assert_array_equal(ia, ib)
-    assert _trace_key(ra) == _trace_key(rb)
-
-
-@settings(max_examples=15, deadline=None)
-@given(
-    n=st.integers(min_value=30, max_value=120),
-    m=st.integers(min_value=1, max_value=10),
-    dim=st.integers(min_value=2, max_value=6),
-    k=st.integers(min_value=1, max_value=4),
-    seed=st.integers(min_value=0, max_value=2**31 - 1),
-    cls=st.sampled_from([ExactRBC, OneShotRBC]),
-)
-def test_ctx_equals_legacy_kwargs_property(n, m, dim, k, seed, cls):
-    rng = np.random.default_rng(seed)
-    X = rng.normal(size=(n, dim))
-    Q = rng.normal(size=(m, dim))
-
-    a = cls(seed=0).build(X)
-    ra = TraceRecorder()
-    da, ia = a.query(Q, k=k, recorder=ra, executor=None)
-
-    b = cls(seed=0).build(X)
-    rb = TraceRecorder()
-    db, ib = b.query(Q, k=k, ctx=ExecContext(recorder=rb))
-
-    np.testing.assert_array_equal(da, db)
-    np.testing.assert_array_equal(ia, ib)
-    assert _trace_key(ra) == _trace_key(rb)
-    assert a.last_stats.rule_counts() == b.last_stats.rule_counts()
-
-
-def test_bf_knn_ctx_equals_kwargs(small_vectors):
-    X, Q = small_vectors
-    ra, rb = TraceRecorder(), TraceRecorder()
-    da, ia = bf_knn(Q, X, k=2, recorder=ra, row_chunk=8)
-    db, ib = bf_knn(Q, X, k=2, ctx=ExecContext(recorder=rb, row_chunk=8))
-    np.testing.assert_array_equal(da, db)
-    np.testing.assert_array_equal(ia, ib)
-    assert _trace_key(ra) == _trace_key(rb)
-
-
 def test_ctx_overrides_index_executor(small_vectors):
     """An explicit ctx executor wins over the index's configured one."""
     X, Q = small_vectors
@@ -274,3 +168,61 @@ def test_ctx_recorder_not_mutated_by_null_default(small_vectors):
     index = ExactRBC(seed=0).build(X)
     index.query(Q, k=1)
     assert NULL_RECORDER.trace.phases == []
+
+
+# ----------------------------------------------- one execution argument: ctx
+
+#: per-call copies of ExecContext fields that must not sit beside ``ctx``
+_CTX_FIELDS = {"recorder", "executor", "row_chunk", "tile_cols"}
+
+
+def _public_ctx_callables() -> dict:
+    """Every public function and method under ``repro`` taking ``ctx``,
+    keyed by qualified name (inherited methods under each class)."""
+    found = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith("__main__"):
+            continue
+        mod = importlib.import_module(info.name)
+        for name, obj in vars(mod).items():
+            home = getattr(obj, "__module__", None)
+            if name.startswith("_") or home != mod.__name__:
+                continue
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members += [
+                    (f"{name}.{meth}", fn)
+                    for meth, fn in inspect.getmembers(obj, inspect.isfunction)
+                    if not meth.startswith("_")
+                ]
+            for qual, fn in members:
+                if not inspect.isfunction(fn):
+                    continue
+                if "ctx" in inspect.signature(fn).parameters:
+                    found[f"{mod.__name__}.{qual}"] = fn
+    return found
+
+
+def test_ctx_is_the_only_per_call_execution_argument():
+    found = _public_ctx_callables()
+    both = {
+        qual: sorted(_CTX_FIELDS & set(inspect.signature(fn).parameters))
+        for qual, fn in found.items()
+    }
+    assert {qual: kw for qual, kw in both.items() if kw} == {}
+    # the walk reaches every entry point of the search API
+    expected = {
+        "repro.index.protocol.Index." + m for m in ("build", "query", "range_query")
+    } | {
+        "repro.parallel.bruteforce.bf_knn",
+        "repro.parallel.bruteforce.bf_nn",
+        "repro.parallel.bruteforce.bf_range",
+        "repro.core.knngraph.knn_graph",
+        "repro.eval.harness.traced_query",
+        "repro.eval.harness.traced_build",
+    }
+    for name in available_indexes():
+        cls = index_class(name)
+        qual = f"{cls.__module__}.{cls.__name__}"
+        expected |= {f"{qual}.build", f"{qual}.query"}
+    assert expected <= set(found)

@@ -14,6 +14,7 @@ import pytest
 
 from repro.core import ExactRBC
 from repro.parallel import bf_knn
+from repro.runtime import ExecContext
 from repro.simulator import TraceRecorder
 from repro.simulator.trace import Op
 
@@ -76,11 +77,11 @@ def test_bf_knn_trace_invariant_under_threads():
     X = rng.normal(size=(2000, 6))
     Q = rng.normal(size=(700, 6))
 
+    grain = dict(row_chunk=128, tile_cols=500)
     rec_s = TraceRecorder()
-    bf_knn(Q, X, k=3, recorder=rec_s, row_chunk=128, tile_cols=500)
+    bf_knn(Q, X, k=3, ctx=ExecContext(recorder=rec_s, **grain))
     rec_t = TraceRecorder()
-    bf_knn(Q, X, k=3, recorder=rec_t, row_chunk=128, tile_cols=500,
-           executor="threads")
+    bf_knn(Q, X, k=3, ctx=ExecContext(recorder=rec_t, executor="threads", **grain))
 
     assert phase_multiset(rec_s.trace) == phase_multiset(rec_t.trace)
     assert rec_s.trace.n_ops == rec_t.trace.n_ops
@@ -93,11 +94,11 @@ def test_exact_query_trace_invariant_under_threads():
 
     idx_s = ExactRBC(seed=0).build(X)
     rec_s = TraceRecorder()
-    d1, i1 = idx_s.query(Q, k=2, recorder=rec_s)
+    d1, i1 = idx_s.query(Q, k=2, ctx=ExecContext(recorder=rec_s))
 
     idx_t = ExactRBC(seed=0, executor="threads").build(X)
     rec_t = TraceRecorder()
-    d2, i2 = idx_t.query(Q, k=2, recorder=rec_t)
+    d2, i2 = idx_t.query(Q, k=2, ctx=ExecContext(recorder=rec_t))
 
     np.testing.assert_allclose(d1, d2)
     np.testing.assert_array_equal(i1, i2)
